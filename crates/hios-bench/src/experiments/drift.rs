@@ -28,11 +28,10 @@
 //!
 //! `--validate` turns all three headline criteria into hard assertions.
 
+use super::{nominal, tenants};
 use crate::table::f3;
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::{AnalyticCostModel, CalibrationConfig};
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
+use hios_cost::CalibrationConfig;
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace,
     serve_drift,
@@ -43,6 +42,9 @@ use serde_json::Value;
 
 /// GPUs in the shared backend.
 const GPUS: usize = 3;
+
+/// The two tenant models served in every cell.
+const TENANTS: &[(u64, usize)] = &[(41, 36), (42, 48)];
 
 /// One load level of the sweep.
 #[derive(Clone, Copy)]
@@ -128,28 +130,6 @@ impl CellOut {
     }
 }
 
-/// The two tenant models served in every cell.
-fn tenants() -> Vec<ServedModel> {
-    [(41u64, 36usize), (42, 48)]
-        .iter()
-        .map(|&(seed, ops)| {
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("tenant{seed}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
-}
-
 /// The drift plan of a scenario.  All plans target the last GPU so the
 /// stale profile keeps routing critical stages onto the slowed device.
 fn drift_for(shape: &'static str) -> DriftPlan {
@@ -169,10 +149,6 @@ fn drift_for(shape: &'static str) -> DriftPlan {
 /// The shared arrival trace of a load level: every mode and drift shape
 /// at that load sees the identical trace.
 fn trace_for(models: &[ServedModel], load: Load) -> Vec<Request> {
-    let nominal: Vec<f64> = models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS))
-        .collect();
     generate_trace(
         &WorkloadConfig {
             requests: load.requests,
@@ -180,12 +156,12 @@ fn trace_for(models: &[ServedModel], load: Load) -> Vec<Request> {
             deadline_factor: load.deadline_factor,
             seed: 17,
         },
-        &nominal,
+        &nominal(models, GPUS),
     )
 }
 
 fn run_cell(c: CellCfg) -> CellOut {
-    let models = tenants();
+    let models = tenants(TENANTS);
     let trace = trace_for(&models, c.load);
     let mut cfg = ServeConfig::new(GPUS);
     cfg.policy = c.mode.policy;
@@ -388,9 +364,7 @@ pub fn drift(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_drift.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_drift.json");
+    crate::write_bench_json("drift", cfg.smoke, &json);
     t
 }
 

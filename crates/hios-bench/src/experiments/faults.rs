@@ -223,9 +223,7 @@ pub fn fault_matrix(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_faults.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_faults.json");
+    crate::write_bench_json("faults", cfg.smoke, &json);
     t
 }
 

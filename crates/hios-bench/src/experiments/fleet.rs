@@ -38,18 +38,16 @@
 //!
 //! `--validate` turns all four headline criteria into hard assertions.
 
+use super::{nominal, saturated_rate_rps, tenants};
 use crate::table::f3;
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::fleet::{FleetConfig, FleetFaults, FleetOutcome, serve_fleet};
 use hios_serve::{
     ClassMix, FleetDisposition, FleetReport, FleetShedReason, PriorityClass, Request, Router,
-    RouterConfig, RouterPolicy, ServeConfig, ServedModel, WorkloadConfig,
-    generate_trace_with_classes, serve, trace_span_ms,
+    RouterConfig, RouterPolicy, ServedModel, WorkloadConfig, generate_trace_with_classes,
+    trace_span_ms,
 };
-use hios_sim::{ClusterFaultEvent, ClusterFaultKind, FaultPlan};
+use hios_sim::{ClusterFaultEvent, ClusterFaultKind};
 use rayon::prelude::*;
 use serde_json::Value;
 
@@ -58,6 +56,9 @@ const CLUSTERS: usize = 4;
 
 /// GPUs per cluster.
 const GPUS_PER_CLUSTER: usize = 3;
+
+/// Six tenant models: enough to spread over four clusters.
+const TENANTS: &[(u64, usize)] = &[(61, 24), (62, 30), (63, 20), (64, 36), (65, 26), (66, 32)];
 
 /// Deadline slack factor over the nominal bound.
 const DEADLINE_FACTOR: f64 = 25.0;
@@ -97,65 +98,10 @@ fn policy_name(failover: bool) -> &'static str {
     if failover { "failover" } else { "static" }
 }
 
-/// Six tenant models: enough to spread over four clusters.
-fn tenants() -> Vec<ServedModel> {
-    [
-        (61u64, 24usize),
-        (62, 30),
-        (63, 20),
-        (64, 36),
-        (65, 26),
-        (66, 32),
-    ]
-    .iter()
-    .map(|&(seed, ops)| {
-        let graph = generate_layered_dag(&LayeredDagConfig {
-            ops,
-            layers: 6,
-            deps: ops * 2,
-            seed,
-        })
-        .expect("feasible tenant workload");
-        let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-        ServedModel {
-            name: format!("tenant{seed}"),
-            graph,
-            cost,
-        }
-    })
-    .collect()
-}
-
-fn nominal(models: &[ServedModel]) -> Vec<f64> {
-    models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS_PER_CLUSTER))
-        .collect()
-}
-
-/// Measures one cluster's sustained service rate with a saturating
-/// probe and returns the fleet arrival rate: [`LOAD_FRACTION`] of four
-/// clusters' aggregate.
-fn fleet_rate_rps(models: &[ServedModel]) -> f64 {
-    let trace = generate_trace_with_classes(
-        &WorkloadConfig {
-            requests: 150,
-            arrival_rate_rps: 20_000.0,
-            deadline_factor: 1.0e6,
-            seed: 29,
-        },
-        &nominal(models),
-        &ClassMix::default(),
-    );
-    let out = serve(
-        models,
-        &trace,
-        &FaultPlan::new(vec![]),
-        &ServeConfig::new(GPUS_PER_CLUSTER),
-    )
-    .expect("well-formed probe setup");
-    let per_cluster_rps = 1000.0 * out.report.completed as f64 / out.report.horizon_ms;
-    LOAD_FRACTION * CLUSTERS as f64 * per_cluster_rps
+/// The fleet arrival rate: [`LOAD_FRACTION`] of four clusters'
+/// aggregate sustained service rate.
+fn arrival_rate_rps(models: &[ServedModel]) -> f64 {
+    LOAD_FRACTION * CLUSTERS as f64 * saturated_rate_rps(models, GPUS_PER_CLUSTER, 150, 29)
 }
 
 /// Requests in the burst landing exactly at the kill instant.
@@ -171,7 +117,7 @@ const BURST: usize = 48;
 /// catches it queued, and the drain's re-route path runs against real
 /// backlog instead of whatever the queue happens to hold.
 fn build_trace(models: &[ServedModel], requests: usize, rate: f64) -> Vec<Request> {
-    let nominal = nominal(models);
+    let nominal = nominal(models, GPUS_PER_CLUSTER);
     let mut trace = generate_trace_with_classes(
         &WorkloadConfig {
             requests,
@@ -414,8 +360,8 @@ fn verdict(outs: &[CellOut]) -> Verdict {
 
 /// The `fleet` experiment.
 pub fn fleet(cfg: &RunCfg) -> Table {
-    let models = tenants();
-    let rate = fleet_rate_rps(&models);
+    let models = tenants(TENANTS);
+    let rate = arrival_rate_rps(&models);
     let hot = hottest_cluster(&models);
     let requests = if cfg.smoke { 2_000 } else { 100_000 };
     let shapes: &[&'static str] = if cfg.smoke {
@@ -545,9 +491,7 @@ pub fn fleet(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fleet.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_fleet.json");
+    crate::write_bench_json("fleet", cfg.smoke, &json);
     t
 }
 
@@ -556,15 +500,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn calibrated_fleet_rate_is_positive_and_finite() {
-        let rate = fleet_rate_rps(&tenants());
-        assert!(rate.is_finite() && rate > 0.0, "rate {rate}");
-    }
-
-    #[test]
     fn kill_cell_headlines_hold_at_small_scale() {
-        let models = tenants();
-        let rate = fleet_rate_rps(&models);
+        let models = tenants(TENANTS);
+        let rate = arrival_rate_rps(&models);
         let hot = hottest_cluster(&models);
         let trace = build_trace(&models, 1_200, rate);
         let outs: Vec<CellOut> = [

@@ -182,9 +182,7 @@ pub fn hetero(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hetero.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_hetero.json");
+    crate::write_bench_json("hetero", cfg.smoke, &json);
     t
 }
 
@@ -228,15 +226,21 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_table_and_headline() {
+        let committed = crate::bench_json_path("hetero", false);
+        let before = std::fs::read(&committed).expect("committed BENCH_hetero.json");
         let t = hetero(&RunCfg {
             smoke: true,
             ..Default::default()
         });
         assert_eq!(t.rows.len(), 1);
-        let json = std::fs::read_to_string(
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hetero.json"),
-        )
-        .expect("BENCH_hetero.json written");
+        let json = std::fs::read_to_string(crate::bench_json_path("hetero", true))
+            .expect("smoke summary written");
         assert!(json.contains("\"hetero_lp_beats_homogeneous\": true"));
+        let after = std::fs::read(&committed).expect("committed BENCH_hetero.json");
+        assert!(
+            before == after,
+            "a smoke run rewrote {}",
+            committed.display()
+        );
     }
 }

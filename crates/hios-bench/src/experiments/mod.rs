@@ -16,6 +16,13 @@ pub mod testbed;
 pub mod worked;
 
 use crate::{RunCfg, Table};
+use hios_core::bounds;
+use hios_cost::AnalyticCostModel;
+use hios_graph::{LayeredDagConfig, generate_layered_dag};
+use hios_serve::{
+    ClassMix, ServeConfig, ServedModel, WorkloadConfig, generate_trace_with_classes, serve,
+};
+use hios_sim::FaultPlan;
 
 /// A named experiment: CLI name + the function producing its table.
 pub type Experiment = (&'static str, fn(&RunCfg) -> Table);
@@ -50,4 +57,78 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("restart", restart::restart),
         ("fleet", fleet::fleet),
     ]
+}
+
+/// Tenant models of the serving experiments: one seeded layered DAG per
+/// `(seed, ops)` pair (six layers, two edges per operator), priced on
+/// the A40/NVLink profile.
+pub(crate) fn tenants(specs: &[(u64, usize)]) -> Vec<ServedModel> {
+    specs
+        .iter()
+        .map(|&(seed, ops)| {
+            let graph = generate_layered_dag(&LayeredDagConfig {
+                ops,
+                layers: 6,
+                deps: ops * 2,
+                seed,
+            })
+            .expect("feasible tenant workload");
+            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
+            ServedModel {
+                name: format!("tenant{seed}"),
+                graph,
+                cost,
+            }
+        })
+        .collect()
+}
+
+/// Each tenant's provable latency bound on `gpus` GPUs, the yardstick
+/// deadlines are drawn against.
+pub(crate) fn nominal(models: &[ServedModel], gpus: usize) -> Vec<f64> {
+    models
+        .iter()
+        .map(|m| bounds::combined_bound(&m.graph, &m.cost, gpus))
+        .collect()
+}
+
+/// Sustained completions per second of one `gpus`-GPU cluster, measured
+/// with a saturating probe: `requests` class-mixed arrivals far faster
+/// than service, deadlines effectively infinite.  Deterministic: the
+/// probe runs on the virtual clock like every other cell.
+pub(crate) fn saturated_rate_rps(
+    models: &[ServedModel],
+    gpus: usize,
+    requests: usize,
+    seed: u64,
+) -> f64 {
+    let trace = generate_trace_with_classes(
+        &WorkloadConfig {
+            requests,
+            arrival_rate_rps: 20_000.0,
+            deadline_factor: 1.0e6,
+            seed,
+        },
+        &nominal(models, gpus),
+        &ClassMix::default(),
+    );
+    let out = serve(
+        models,
+        &trace,
+        &FaultPlan::new(vec![]),
+        &ServeConfig::new(gpus),
+    )
+    .expect("well-formed probe setup");
+    1000.0 * out.report.completed as f64 / out.report.horizon_ms
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn saturated_rate_is_positive_and_finite() {
+        let rate = saturated_rate_rps(&tenants(&[(41, 36), (42, 48)]), 3, 120, 13);
+        assert!(rate.is_finite() && rate > 0.0, "rate {rate}");
+    }
 }

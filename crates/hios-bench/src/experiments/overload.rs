@@ -34,11 +34,9 @@
 //!
 //! `--validate` turns all four headline criteria into hard assertions.
 
+use super::{nominal, saturated_rate_rps, tenants};
 use crate::table::f3;
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     ClassMix, OverloadConfig, PriorityClass, Request, ServeConfig, ServeReport, ServedModel,
     WorkloadConfig, generate_trace_with_classes, serve, trace_span_ms,
@@ -49,6 +47,9 @@ use serde_json::Value;
 
 /// GPUs in the shared backend (two on one host, one on its own).
 const GPUS: usize = 3;
+
+/// The two tenant models served in every cell.
+const TENANTS: &[(u64, usize)] = &[(41, 36), (42, 48)];
 
 /// GPUs per PCIe-switch failure domain.
 const GPUS_PER_HOST: usize = 2;
@@ -155,59 +156,9 @@ fn mode_name(harden: bool) -> &'static str {
     if harden { "brownout" } else { "static" }
 }
 
-/// The two tenant models served in every cell.
-fn tenants() -> Vec<ServedModel> {
-    [(41u64, 36usize), (42, 48)]
-        .iter()
-        .map(|&(seed, ops)| {
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("tenant{seed}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
-}
-
-fn nominal(models: &[ServedModel]) -> Vec<f64> {
-    models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS))
-        .collect()
-}
-
-/// Measures the backend's sustained service rate with a saturating
-/// probe (arrivals far faster than service, deadlines effectively
-/// infinite) and pins the `1x` load at 75% of it.  Deterministic: the
-/// probe runs on the virtual clock like every other cell.
-fn calibrated_rate_rps(models: &[ServedModel]) -> f64 {
-    let trace = generate_trace_with_classes(
-        &WorkloadConfig {
-            requests: 120,
-            arrival_rate_rps: 20_000.0,
-            deadline_factor: 1.0e6,
-            seed: 13,
-        },
-        &nominal(models),
-        &ClassMix::default(),
-    );
-    let out = serve(
-        models,
-        &trace,
-        &FaultPlan::new(vec![]),
-        &ServeConfig::new(GPUS),
-    )
-    .expect("well-formed probe setup");
-    let throughput_rps = 1000.0 * out.report.completed as f64 / out.report.horizon_ms;
-    0.75 * throughput_rps
+/// The `1x` load: 75% of the backend's sustained service rate.
+fn rate_1x_rps(models: &[ServedModel]) -> f64 {
+    0.75 * saturated_rate_rps(models, GPUS, 120, 13)
 }
 
 /// The shared class-mixed arrival trace of one load multiplier.
@@ -219,7 +170,7 @@ fn trace_for(models: &[ServedModel], rate_rps: f64) -> Vec<Request> {
             deadline_factor: DEADLINE_FACTOR,
             seed: 17,
         },
-        &nominal(models),
+        &nominal(models, GPUS),
         &ClassMix::default(),
     )
 }
@@ -327,8 +278,8 @@ fn verdict(outs: &[CellOut]) -> Verdict {
 
 /// The `overload` experiment.
 pub fn overload(cfg: &RunCfg) -> Table {
-    let models = tenants();
-    let rate_1x = calibrated_rate_rps(&models);
+    let models = tenants(TENANTS);
+    let rate_1x = rate_1x_rps(&models);
     let (mults, shapes): (&[f64], &[&'static str]) = if cfg.smoke {
         (&[1.0, 2.0], &["none", "domain-kill"])
     } else {
@@ -480,9 +431,7 @@ pub fn overload(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_overload.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_overload.json");
+    crate::write_bench_json("overload", cfg.smoke, &json);
     t
 }
 
@@ -491,16 +440,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn calibrated_rate_is_positive_and_finite() {
-        let models = tenants();
-        let rate = calibrated_rate_rps(&models);
-        assert!(rate.is_finite() && rate > 0.0, "rate {rate}");
-    }
-
-    #[test]
     fn overloaded_cell_browns_out_and_protects_gold() {
-        let models = tenants();
-        let rate_1x = calibrated_rate_rps(&models);
+        let models = tenants(TENANTS);
+        let rate_1x = rate_1x_rps(&models);
         let outs: Vec<CellOut> = [true, false]
             .iter()
             .map(|&harden| {
@@ -527,7 +469,7 @@ mod tests {
 
     #[test]
     fn every_fault_shape_compiles_to_a_valid_plan() {
-        let models = tenants();
+        let models = tenants(TENANTS);
         for shape in ["none", "domain-kill", "flapping"] {
             faults_for(&models, shape, 300.0);
         }

@@ -36,10 +36,9 @@
 //!
 //! `--validate` turns all five headline criteria into hard assertions.
 
+use super::tenants;
 use crate::table::f3;
 use crate::{RunCfg, Table};
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     PriorityClass, Request, Rung, ServeConfig, ServeOutcome, ServeReport, ServedModel, StoreConfig,
     serve,
@@ -158,25 +157,9 @@ impl CellOut {
 /// store hit (0.25 ms modeled) strictly undercuts even the greedy
 /// rung (0.004 ms/op), so warm-vs-cold first-dispatch comparisons are
 /// strict whatever rung the cold process could afford.
-fn tenants(n: usize) -> Vec<ServedModel> {
-    (0..n)
-        .map(|i| {
-            let ops = 100 + 20 * i;
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed: 71 + i as u64,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("dag{ops}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
+fn restart_tenants(n: usize) -> Vec<ServedModel> {
+    let specs: Vec<(u64, usize)> = (0..n).map(|i| (71 + i as u64, 100 + 20 * i)).collect();
+    tenants(&specs)
 }
 
 /// The shared arrival trace: fixed 3 ms spacing, generous deadlines,
@@ -340,7 +323,7 @@ pub fn restart(cfg: &RunCfg) -> Table {
             ],
         )
     };
-    let models = tenants(n_models);
+    let models = restart_tenants(n_models);
     let trace = trace_for(n_models, requests);
 
     // The disabled-store reference: attaching an empty store must not
@@ -438,9 +421,7 @@ pub fn restart(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_restart.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_restart.json");
+    crate::write_bench_json("restart", cfg.smoke, &json);
     t
 }
 
@@ -450,7 +431,7 @@ mod tests {
 
     #[test]
     fn clean_restart_warm_starts_and_beats_cold() {
-        let models = tenants(2);
+        let models = restart_tenants(2);
         let trace = trace_for(2, 24);
         let o = run_cell(Corruption::None, &models, &trace);
         assert!(o.warm.rungs[Rung::Store.index()] >= 2, "both models warm");
@@ -465,7 +446,7 @@ mod tests {
 
     #[test]
     fn wipeout_restart_degrades_to_the_cold_run() {
-        let models = tenants(1);
+        let models = restart_tenants(1);
         let trace = trace_for(1, 12);
         let o = run_cell(Corruption::Wipeout, &models, &trace);
         let v = verdict(std::slice::from_ref(&o));

@@ -208,9 +208,7 @@ pub fn sched_scaling(cfg: &RunCfg) -> Table {
             )]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_schedulers.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_schedulers.json");
+    crate::write_bench_json("schedulers", cfg.smoke, &json);
     t
 }
 

@@ -17,11 +17,9 @@
 //!
 //! `--validate` turns both headline criteria into hard assertions.
 
+use super::{nominal, tenants};
 use crate::table::f3;
 use crate::{RunCfg, Table};
-use hios_core::bounds;
-use hios_cost::AnalyticCostModel;
-use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace, serve,
 };
@@ -31,6 +29,9 @@ use serde_json::Value;
 
 /// GPUs in the shared backend.
 const GPUS: usize = 3;
+
+/// The two tenant models served in every cell.
+const TENANTS: &[(u64, usize)] = &[(31, 36), (32, 48)];
 
 /// One load level of the sweep.
 #[derive(Clone, Copy)]
@@ -89,28 +90,6 @@ impl CellOut {
     }
 }
 
-/// The two tenant models served in every cell.
-fn tenants() -> Vec<ServedModel> {
-    [(31u64, 36usize), (32, 48)]
-        .iter()
-        .map(|&(seed, ops)| {
-            let graph = generate_layered_dag(&LayeredDagConfig {
-                ops,
-                layers: 6,
-                deps: ops * 2,
-                seed,
-            })
-            .expect("feasible tenant workload");
-            let cost = AnalyticCostModel::a40_nvlink().build_table(&graph);
-            ServedModel {
-                name: format!("tenant{seed}"),
-                graph,
-                cost,
-            }
-        })
-        .collect()
-}
-
 /// The fault plan of a scenario.  Faults land mid-stream (well after the
 /// first dispatch, well before the trace drains).
 fn plan_for(fault: &'static str) -> FaultPlan {
@@ -138,10 +117,6 @@ fn plan_for(fault: &'static str) -> FaultPlan {
 /// The shared arrival trace of a (load, deadline) pair: every policy in
 /// the cell sees the identical trace.
 fn trace_for(models: &[ServedModel], load: Load, factor: f64) -> Vec<Request> {
-    let nominal: Vec<f64> = models
-        .iter()
-        .map(|m| bounds::combined_bound(&m.graph, &m.cost, GPUS))
-        .collect();
     generate_trace(
         &WorkloadConfig {
             requests: load.requests,
@@ -149,12 +124,12 @@ fn trace_for(models: &[ServedModel], load: Load, factor: f64) -> Vec<Request> {
             deadline_factor: factor,
             seed: 23,
         },
-        &nominal,
+        &nominal(models, GPUS),
     )
 }
 
 fn run_cell(c: CellCfg) -> CellOut {
-    let models = tenants();
+    let models = tenants(TENANTS);
     let trace = trace_for(&models, c.load, c.deadline_factor);
     let mut cfg = ServeConfig::new(GPUS);
     cfg.policy = c.policy;
@@ -337,9 +312,7 @@ pub fn serving(cfg: &RunCfg) -> Table {
             ]),
         ),
     ]);
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serving.json");
-    let rendered = serde_json::to_string_pretty(&json).expect("JSON rendering");
-    std::fs::write(&out, rendered + "\n").expect("write BENCH_serving.json");
+    crate::write_bench_json("serving", cfg.smoke, &json);
     t
 }
 
@@ -374,7 +347,7 @@ mod tests {
     fn every_fault_scenario_builds_a_valid_plan() {
         for fault in ["none", "gpu-fail", "gpu+link"] {
             let plan = plan_for(fault);
-            for m in &tenants() {
+            for m in &tenants(TENANTS) {
                 plan.validate(&m.graph, GPUS).expect("plan fits platform");
             }
         }

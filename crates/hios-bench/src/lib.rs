@@ -17,6 +17,7 @@ use hios_cost::{RandomCostConfig, random_cost_table};
 use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::path::PathBuf;
 
 /// Global run configuration.
 #[derive(Clone, Debug)]
@@ -42,6 +43,31 @@ impl Default for RunCfg {
             validate: false,
         }
     }
+}
+
+/// Where [`write_bench_json`] puts experiment `name`'s summary: the
+/// committed `BENCH_<name>.json` at the repository root for a full run,
+/// the git-ignored `results/<name>.smoke.json` for a smoke run, so smoke
+/// runs and tests never overwrite the recorded full-run numbers.
+pub(crate) fn bench_json_path(name: &str, smoke: bool) -> PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    if smoke {
+        root.join("results").join(format!("{name}.smoke.json"))
+    } else {
+        root.join(format!("BENCH_{name}.json"))
+    }
+}
+
+/// Writes experiment `name`'s machine-readable summary, pretty-printed,
+/// to [`bench_json_path`].
+pub(crate) fn write_bench_json(name: &str, smoke: bool, json: &serde_json::Value) {
+    let path = bench_json_path(name, smoke);
+    let rendered = serde_json::to_string_pretty(json).expect("JSON rendering");
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir).expect("create the bench output directory");
+    }
+    std::fs::write(&path, rendered + "\n")
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 /// Mean and sample standard deviation.

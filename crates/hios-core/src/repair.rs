@@ -17,13 +17,14 @@
 //! [`Schedule::validate_full`] before it is returned; the subsystem
 //! degrades gracefully down to a single surviving GPU (`M = 1`).
 //!
-//! The returned schedule is expressed over *slots* `0..m_alive`;
-//! [`RepairOutcome::gpu_map`] maps each slot back to the physical GPU
-//! index so the simulator can resume on the real device set.
+//! The returned schedule names operators by their ids in the unfinished
+//! subgraph ([`SubgraphMap`], returned beside it) and GPUs by *slots*
+//! `0..m_alive`; [`RepairOutcome::gpu_map`] maps each slot back to the
+//! physical GPU index so the simulator can resume on the real device set.
 
 use crate::eval::{EvalError, EvalWorkspace, evaluate_with};
 use crate::lp::{HiosLpConfig, schedule_hios_lp};
-use crate::schedule::{GpuSchedule, Schedule, Stage};
+use crate::schedule::Schedule;
 use hios_cost::CostTable;
 use hios_graph::{Graph, GraphBuilder, OpId};
 use std::fmt;
@@ -126,6 +127,24 @@ impl SubgraphMap {
         let s = self.from_parent[parent.index()];
         (s != Self::NO_SUB).then(|| OpId::from_index(s as usize))
     }
+
+    /// Re-expresses a parent-id schedule of the unfinished operators in
+    /// subgraph ids, keeping its GPU and stage structure.
+    ///
+    /// # Panics
+    ///
+    /// If the schedule names a completed operator.
+    pub fn project_schedule(&self, sched: &Schedule) -> Schedule {
+        let mut out = sched.clone();
+        for gq in &mut out.gpus {
+            for op in gq.stages.iter_mut().flat_map(|st| &mut st.ops) {
+                *op = self
+                    .sub_id(*op)
+                    .expect("schedule covers only unfinished operators");
+            }
+        }
+        out
+    }
 }
 
 /// Extracts the subgraph induced by the unfinished operators.
@@ -186,7 +205,7 @@ pub fn project_cost(cost: &CostTable, map: &SubgraphMap) -> CostTable {
 /// What a repair produced.
 #[derive(Clone, Debug)]
 pub struct RepairOutcome {
-    /// Schedule of the unfinished operators (parent ids) over slots
+    /// Schedule of the unfinished subgraph (subgraph ids) over slots
     /// `0..m_alive`; slot `i` is physical GPU [`RepairOutcome::gpu_map`]`[i]`.
     pub schedule: Schedule,
     /// Slot → physical GPU index.
@@ -254,7 +273,9 @@ fn greedy_orders(sub: &Graph, cost: &CostTable, m: usize) -> Vec<Vec<OpId>> {
 /// schedule) keeps the relaxation buffers warm.  The repaired schedule is
 /// checked with [`Schedule::validate_full`] against the subgraph and
 /// evaluated through `ws` before being returned, so callers can trust
-/// [`RepairOutcome::latency`] and resume without re-validating.
+/// [`RepairOutcome::latency`] and resume without re-validating.  The
+/// schedule names operators by their ids in the returned [`SubgraphMap`],
+/// so callers simulate it on `map.sub` directly.
 pub fn repair_schedule(
     ws: &mut EvalWorkspace,
     g: &Graph,
@@ -297,7 +318,7 @@ pub fn repair_schedule(
     // `gpu_map[i]` (on a uniform platform this is the identity).
     let sub_cost = project_cost(cost, &map).restrict_gpus(&gpu_map);
 
-    let sub_sched = match cfg.policy {
+    let schedule = match cfg.policy {
         RepairPolicy::Reschedule => {
             schedule_hios_lp(
                 &map.sub,
@@ -310,32 +331,13 @@ pub fn repair_schedule(
             )
             .schedule
         }
-        RepairPolicy::Greedy => {
-            Schedule::from_gpu_orders(greedy_orders(&map.sub, &sub_cost, m_alive))
-        }
+        RepairPolicy::Greedy => greedy_schedule(&map.sub, &sub_cost, m_alive),
     };
 
-    sub_sched
+    schedule
         .validate_full(&map.sub, None)
         .map_err(EvalError::Structure)?;
-    let latency = evaluate_with(ws, &map.sub, &sub_cost, &sub_sched)?.latency;
-
-    // Translate subgraph ids back to parent ids, keeping slot structure.
-    let schedule = Schedule {
-        gpus: sub_sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st.ops.iter().map(|&v| map.to_parent[v.index()]).collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    };
+    let latency = evaluate_with(ws, &map.sub, &sub_cost, &schedule)?.latency;
     Ok((
         RepairOutcome {
             schedule,
@@ -413,24 +415,10 @@ mod tests {
             assert_eq!(out.schedule.num_gpus(), 3);
             assert_eq!(out.schedule.num_ops(), 30);
             assert!(out.latency > 0.0);
-            // The slot schedule, mapped back to subgraph ids, validates.
-            let sub_view = Schedule {
-                gpus: out
-                    .schedule
-                    .gpus
-                    .iter()
-                    .map(|gq| GpuSchedule {
-                        stages: gq
-                            .stages
-                            .iter()
-                            .map(|st| Stage {
-                                ops: st.ops.iter().map(|&p| map.sub_id(p).unwrap()).collect(),
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            };
-            assert!(sub_view.validate_full(&map.sub, None).is_ok(), "{policy:?}");
+            assert!(
+                out.schedule.validate_full(&map.sub, None).is_ok(),
+                "{policy:?}"
+            );
         }
     }
 

@@ -149,116 +149,6 @@ fn merge_stages_in_place(sched: &mut Schedule, gpu: usize, first: usize, last: u
 }
 
 #[cfg(test)]
-mod profile {
-    use super::*;
-    use crate::lp::{HiosLpConfig, schedule_hios_lp};
-    use std::time::Instant;
-
-    // cargo test --release -p hios-core --lib -- --ignored profile_window --nocapture
-    #[test]
-    #[ignore]
-    fn profile_window() {
-        let g = hios_graph::generate_layered_dag(&hios_graph::LayeredDagConfig {
-            ops: 1000,
-            layers: 160,
-            deps: 2000,
-            seed: 7,
-        })
-        .unwrap();
-        let cost = hios_cost::random_cost_table(&g, &hios_cost::RandomCostConfig::paper_default(7));
-        for m in [2usize, 4] {
-            let sched = schedule_hios_lp(&g, &cost, HiosLpConfig::inter_only(m)).schedule;
-            let window = 4;
-            let mut current = sched;
-            let mut ws = EvalWorkspace::new();
-            let mut latency = ws
-                .prepare(&g, &cost, &current, true)
-                .and_then(|()| ws.relax())
-                .unwrap();
-            let order = priority_order(&g, &cost);
-            let n = g.num_ops();
-            let mut place: Vec<OpPlacement> = current
-                .placements(n)
-                .into_iter()
-                .map(|p| p.unwrap())
-                .collect();
-            let mut win_mark = vec![0u32; n];
-            let mut win_gen = 0u32;
-            let (mut t_ml, mut t_prep) = (0.0f64, 0.0);
-            let (mut cands, mut accepted) = (0usize, 0usize);
-            let s_all = Instant::now();
-            for &v in &order {
-                let p = place[v.index()];
-                if current.gpus[p.gpu].stages[p.stage].ops.len() > 1 {
-                    continue;
-                }
-                let mut best: Option<(usize, f64)> = None;
-                let num_stages = current.gpus[p.gpu].stages.len();
-                let mut covered = 1usize;
-                let mut end = p.stage;
-                win_gen += 1;
-                win_mark[v.index()] = win_gen;
-                'grow: while end + 1 < num_stages {
-                    end += 1;
-                    let stage_ops = &current.gpus[p.gpu].stages[end].ops;
-                    covered += stage_ops.len();
-                    if covered > window {
-                        break;
-                    }
-                    for &w_op in stage_ops {
-                        let dependent = g
-                            .preds(w_op)
-                            .iter()
-                            .chain(g.succs(w_op))
-                            .any(|u| win_mark[u.index()] == win_gen);
-                        if dependent {
-                            break 'grow;
-                        }
-                        win_mark[w_op.index()] = win_gen;
-                    }
-                    cands += 1;
-                    let bar = best.map_or(latency, |(_, bl)| bl.min(latency));
-                    let s = Instant::now();
-                    let r = ws.merged_latency_bounded(&cost, &current, p.gpu, p.stage, end, bar);
-                    t_ml += s.elapsed().as_secs_f64();
-                    if let Ok(l) = r {
-                        if l < latency && best.is_none_or(|(_, bl)| l < bl) {
-                            best = Some((end, l));
-                            ws.snapshot_candidate(p.gpu, p.stage, end, l);
-                        }
-                    }
-                }
-                if let Some((last, l)) = best {
-                    accepted += 1;
-                    merge_stages_in_place(&mut current, p.gpu, p.stage, last);
-                    for (si, stage) in current.gpus[p.gpu].stages.iter().enumerate().skip(p.stage) {
-                        for (slot, &op) in stage.ops.iter().enumerate() {
-                            place[op.index()] = OpPlacement {
-                                gpu: p.gpu,
-                                stage: si,
-                                slot,
-                            };
-                        }
-                    }
-                    let s = Instant::now();
-                    let relaxed = ws.commit_merge(&cost, &current, p.gpu, p.stage, last);
-                    t_prep += s.elapsed().as_secs_f64();
-                    debug_assert_eq!(relaxed.to_bits(), l.to_bits());
-                    latency = l;
-                }
-            }
-            let t_other = s_all.elapsed().as_secs_f64() - t_ml - t_prep;
-            println!(
-                "window m={m}: cands={cands} accepted={accepted} merged_latency={:.1}ms prepare+relax={:.1}ms other={:.1}ms",
-                t_ml * 1e3,
-                t_prep * 1e3,
-                t_other * 1e3,
-            );
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::evaluate;

@@ -6,7 +6,7 @@
 //! retry-budget counters, flap escalations).
 
 use crate::brownout::BrownoutTelemetry;
-use crate::request::{Disposition, RequestRecord, ShedReason};
+use crate::request::{Disposition, PriorityClass, RequestRecord, ShedReason};
 use hios_store::{RecoveryReport, StoreStats};
 
 /// Per-priority-class outcome statistics.
@@ -128,19 +128,44 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// FNV-1a writer behind [`history_digest`] and
+/// [`crate::fleet::fleet_history_digest`].
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds the little-endian bytes of `x`.
+    pub(crate) fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// Digest code of a cluster-level shed reason.
+pub(crate) fn shed_code(reason: &ShedReason) -> u64 {
+    match reason {
+        ShedReason::QueueFull { .. } => 10,
+        ShedReason::DeadlineUnmeetable { .. } => 11,
+        ShedReason::RetriesExhausted { .. } => 12,
+        ShedReason::Brownout { .. } => 13,
+        ShedReason::RetryBudgetExhausted { .. } => 14,
+    }
+}
+
 /// FNV-1a digest of the per-request outcome stream.
 pub fn history_digest(records: &[RequestRecord]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv::new();
     for r in records {
-        eat(r.request.id);
+        h.eat(r.request.id);
         match &r.disposition {
             Disposition::Completed {
                 finish_ms,
@@ -149,27 +174,79 @@ pub fn history_digest(records: &[RequestRecord]) -> u64 {
                 met_deadline,
                 repairs,
             } => {
-                eat(1);
-                eat(finish_ms.to_bits());
-                eat(latency_ms.to_bits());
-                eat(u64::from(*attempts));
-                eat(u64::from(*met_deadline));
-                eat(u64::from(*repairs));
+                h.eat(1);
+                h.eat(finish_ms.to_bits());
+                h.eat(latency_ms.to_bits());
+                h.eat(u64::from(*attempts));
+                h.eat(u64::from(*met_deadline));
+                h.eat(u64::from(*repairs));
             }
             Disposition::Shed { at_ms, reason } => {
-                eat(2);
-                eat(at_ms.to_bits());
-                eat(match reason {
-                    ShedReason::QueueFull { .. } => 10,
-                    ShedReason::DeadlineUnmeetable { .. } => 11,
-                    ShedReason::RetriesExhausted { .. } => 12,
-                    ShedReason::Brownout { .. } => 13,
-                    ShedReason::RetryBudgetExhausted { .. } => 14,
-                });
+                h.eat(2);
+                h.eat(at_ms.to_bits());
+                h.eat(shed_code(reason));
             }
         }
     }
-    h
+    h.finish()
+}
+
+/// `part / total`, `0.0` for an empty total.
+pub(crate) fn rate(part: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
+    }
+}
+
+/// `count` per second of a virtual horizon, `0.0` for an empty horizon.
+pub(crate) fn per_second(count: usize, horizon_ms: f64) -> f64 {
+    if horizon_ms > 0.0 {
+        count as f64 / (horizon_ms / 1000.0)
+    } else {
+        0.0
+    }
+}
+
+/// Per-class accumulator behind [`summarize`] and the fleet report.
+#[derive(Default)]
+pub(crate) struct ClassFold {
+    stats: [ClassStats; 3],
+    latencies: [Vec<f64>; 3],
+}
+
+impl ClassFold {
+    /// Counts one request of `class`: a completion with its latency and
+    /// deadline verdict, or a shed (`None`).
+    pub(crate) fn add(&mut self, class: PriorityClass, completion: Option<(f64, bool)>) {
+        let c = class.index();
+        let stats = &mut self.stats[c];
+        stats.total += 1;
+        match completion {
+            Some((latency_ms, met_deadline)) => {
+                stats.completed += 1;
+                stats.on_time += usize::from(met_deadline);
+                self.latencies[c].push(latency_ms);
+            }
+            None => stats.shed += 1,
+        }
+    }
+
+    /// Each class's p99, miss rate and goodput over `horizon_ms`.
+    pub(crate) fn finish(mut self, horizon_ms: f64) -> [ClassStats; 3] {
+        for (stats, lats) in self.stats.iter_mut().zip(&mut self.latencies) {
+            lats.sort_by(f64::total_cmp);
+            stats.p99_ms = if lats.is_empty() {
+                0.0
+            } else {
+                percentile(lats, 0.99)
+            };
+            stats.miss_rate = rate(stats.total - stats.on_time, stats.total);
+            stats.goodput_rps = per_second(stats.on_time, horizon_ms);
+        }
+        self.stats
+    }
 }
 
 /// Builder-style inputs [`summarize`] folds into a [`ServeReport`].
@@ -214,14 +291,11 @@ pub struct ReportInputs {
 pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeReport {
     let total = records.len();
     let mut latencies: Vec<f64> = Vec::new();
-    let mut class_lat: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut class_stats = [ClassStats::default(); 3];
+    let mut classes = ClassFold::default();
     let (mut admitted, mut completed, mut on_time) = (0usize, 0usize, 0usize);
     let (mut shed_queue, mut shed_deadline, mut shed_retries) = (0usize, 0usize, 0usize);
     let (mut shed_brownout, mut shed_retry_budget) = (0usize, 0usize);
     for r in records {
-        let c = r.request.class.index();
-        class_stats[c].total += 1;
         match &r.disposition {
             Disposition::Completed {
                 latency_ms,
@@ -232,12 +306,10 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
                 completed += 1;
                 on_time += usize::from(*met_deadline);
                 latencies.push(*latency_ms);
-                class_stats[c].completed += 1;
-                class_stats[c].on_time += usize::from(*met_deadline);
-                class_lat[c].push(*latency_ms);
+                classes.add(r.request.class, Some((*latency_ms, *met_deadline)));
             }
             Disposition::Shed { reason, .. } => {
-                class_stats[c].shed += 1;
+                classes.add(r.request.class, None);
                 match reason {
                     ShedReason::QueueFull { .. } => shed_queue += 1,
                     ShedReason::DeadlineUnmeetable { .. } => shed_deadline += 1,
@@ -257,26 +329,7 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         }
     }
     latencies.sort_by(f64::total_cmp);
-    for (c, stats) in class_stats.iter_mut().enumerate() {
-        class_lat[c].sort_by(f64::total_cmp);
-        stats.p99_ms = if class_lat[c].is_empty() {
-            0.0
-        } else {
-            percentile(&class_lat[c], 0.99)
-        };
-        stats.miss_rate = if stats.total == 0 {
-            0.0
-        } else {
-            (stats.total - stats.on_time) as f64 / stats.total as f64
-        };
-        stats.goodput_rps = if inputs.horizon_ms > 0.0 {
-            stats.on_time as f64 / (inputs.horizon_ms / 1000.0)
-        } else {
-            0.0
-        };
-    }
     let shed = shed_queue + shed_deadline + shed_retries + shed_brownout + shed_retry_budget;
-    let misses = total - on_time;
     let mean_ms = if latencies.is_empty() {
         f64::NAN
     } else {
@@ -292,25 +345,13 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         shed_retries,
         shed_brownout,
         shed_retry_budget,
-        miss_rate: if total == 0 {
-            0.0
-        } else {
-            misses as f64 / total as f64
-        },
-        shed_rate: if total == 0 {
-            0.0
-        } else {
-            shed as f64 / total as f64
-        },
+        miss_rate: rate(total - on_time, total),
+        shed_rate: rate(shed, total),
         p50_ms: percentile(&latencies, 0.50),
         p95_ms: percentile(&latencies, 0.95),
         p99_ms: percentile(&latencies, 0.99),
         mean_ms,
-        goodput_rps: if inputs.horizon_ms > 0.0 {
-            on_time as f64 / (inputs.horizon_ms / 1000.0)
-        } else {
-            0.0
-        },
+        goodput_rps: per_second(on_time, inputs.horizon_ms),
         horizon_ms: inputs.horizon_ms,
         attempts: inputs.attempts,
         repairs: inputs.repairs,
@@ -325,7 +366,7 @@ pub fn summarize(records: &[RequestRecord], inputs: &ReportInputs) -> ServeRepor
         store: inputs.store,
         store_recovery: inputs.store_recovery,
         store_io_errors: inputs.store_io_errors,
-        class_stats,
+        class_stats: classes.finish(inputs.horizon_ms),
         retry_budget_denied: inputs.retry_budget_denied,
         flap_escalations: inputs.flap_escalations,
         brownout: inputs.brownout.clone(),

@@ -35,10 +35,9 @@ use crate::ladder::{AnytimeLadder, LadderConfig, Policy, RungCap, greedy_cost_ms
 use crate::report::{ReportInputs, ServeReport, summarize};
 use crate::request::{Disposition, Request, RequestRecord, ServeError, ShedReason};
 use crate::retry::{RetryBudget, RetryConfig};
-use hios_core::repair::{RepairConfig, RepairPolicy, SubgraphMap, repair_schedule};
+use hios_core::repair::{RepairConfig, RepairPolicy, repair_schedule};
 use hios_core::{
-    Algorithm, EvalWorkspace, GpuSchedule, Schedule, SchedulerError, Stage, bounds,
-    modeled_sched_cost_ms,
+    Algorithm, EvalWorkspace, Schedule, SchedulerError, bounds, modeled_sched_cost_ms,
 };
 use hios_cost::{CalibratedTable, CalibrationConfig, Calibrator, CostTable};
 use hios_graph::{Graph, OpId};
@@ -811,7 +810,7 @@ impl<'a> Server<'a> {
             self.states[i].attempts += 1;
             self.attempts_total += 1;
             let t0 = self.now() + decision.sched_cost_ms;
-            let fault_scale = self.slot_scaling(&decision.gpu_map);
+            let fault_scale = self.scaling.for_slots(&decision.gpu_map);
             let slot_scale = self.drifted(&fault_scale, &decision.gpu_map, t0);
             let sim = simulate_scaled(
                 &model.graph,
@@ -854,21 +853,6 @@ impl<'a> Server<'a> {
     fn fresh_token(&mut self) -> u64 {
         self.next_token += 1;
         self.next_token
-    }
-
-    /// Physical scaling projected onto the dispatch's GPU slots.
-    fn slot_scaling(&self, gpu_map: &[usize]) -> Scaling {
-        let m = self.cfg.num_gpus;
-        let mut link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
-        for &pf in gpu_map {
-            for &pt in gpu_map {
-                link.push(self.scaling.link[pf * m + pt]);
-            }
-        }
-        Scaling {
-            gpu: gpu_map.iter().map(|&p| self.scaling.gpu[p]).collect(),
-            link,
-        }
     }
 
     /// How long the backend may stall before the arrival stream (at its
@@ -1063,7 +1047,7 @@ impl<'a> Server<'a> {
         if gpu_map.is_empty() {
             return;
         }
-        let scale = self.slot_scaling(&gpu_map);
+        let scale = self.scaling.for_slots(&gpu_map);
         let sim_cfg = &self.cfg.sim;
         let model = &self.models[mi];
         let planning = planning_table(&self.calib, model, mi);
@@ -1086,7 +1070,7 @@ impl<'a> Server<'a> {
                 if gpu_map.is_empty() {
                     return; // nothing to dispatch on either
                 }
-                let scale = self.slot_scaling(&gpu_map);
+                let scale = self.scaling.for_slots(&gpu_map);
                 let sim_cfg = &self.cfg.sim;
                 let planning = planning_table(&self.calib, model, mi);
                 let slots = slot_cost(planning, &gpu_map);
@@ -1282,15 +1266,12 @@ impl<'a> Server<'a> {
         };
         let sub_cost = hios_core::repair::project_cost(&model.cost, &map);
         let resume = now + sched_cost;
-        let fault_scale = self.slot_scaling(&outcome.gpu_map);
+        let fault_scale = self.scaling.for_slots(&outcome.gpu_map);
         let slot_scale = self.drifted(&fault_scale, &outcome.gpu_map, resume);
-        // `RepairOutcome::schedule` names the unfinished operators by their
-        // parent-graph ids; translate to subgraph ids before simulating.
-        let sub_schedule = to_sub_ids(&outcome.schedule, &map);
         match simulate_scaled(
             &map.sub,
             &sub_cost,
-            &sub_schedule,
+            &outcome.schedule,
             &self.cfg.sim,
             &slot_scale,
         ) {
@@ -1426,32 +1407,6 @@ fn planning_table<'a>(calib: &'a [CalibState], model: &'a ServedModel, mi: usize
     match calib.get(mi) {
         Some(state) => state.table.table(),
         None => &model.cost,
-    }
-}
-
-/// Translate a repair schedule from parent-graph op ids to subgraph ids.
-fn to_sub_ids(sched: &Schedule, map: &SubgraphMap) -> Schedule {
-    Schedule {
-        gpus: sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st
-                            .ops
-                            .iter()
-                            .map(|&p| {
-                                map.sub_id(p)
-                                    .expect("repair schedule covers only unfinished operators")
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
     }
 }
 

@@ -13,7 +13,7 @@ use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
     Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace, serve_drift,
 };
-use hios_sim::{DriftPlan, FaultPlan};
+use hios_sim::{DriftPlan, FaultPlan, FaultScript, FlapSpec};
 
 const GPUS: usize = 3;
 
@@ -120,4 +120,41 @@ fn no_drift_makes_the_loop_invisible() {
     assert_eq!(on.drift_alarms, 0);
     assert_eq!(on.recalibrations, 0);
     assert_eq!(off, on, "calibration on a drift-free run must be a no-op");
+}
+
+/// Golden value: pins the outcome stream of a run with a flapping GPU,
+/// drift and calibration that repairs requests in flight.  Unlike the
+/// relational tests above, it fails on any change to a latency bit, a
+/// disposition, a repair count or the digest's own fold, even one that
+/// is self-consistent.  Recompute it only for an intended behaviour
+/// change, and record why.
+#[test]
+fn history_digest_of_a_repairing_drift_run_is_pinned() {
+    let models = vec![model(41, 36), model(42, 48)];
+    let reqs = trace(&models, 300, 800.0, 8.0);
+    // GPU 0 fails for 60 ms three times, 120 ms apart.
+    let faults = FaultScript {
+        flaps: vec![FlapSpec {
+            gpu: 0,
+            first_fail_ms: 20.0,
+            down_ms: 60.0,
+            up_ms: 60.0,
+            cycles: 3,
+        }],
+        ..FaultScript::default()
+    }
+    .compile(&models[0].graph, GPUS)
+    .expect("valid flap script");
+    let drift = DriftPlan::random_walk(2, 9, 500.0, 10.0, 0.05, 0.0, 2.0);
+    let mut cfg = ServeConfig::new(GPUS);
+    cfg.calibration = Some(CalibrationConfig::default());
+    let report = serve_drift(&models, &reqs, &faults, &drift, &cfg)
+        .expect("well-formed serving setup")
+        .report;
+    assert!(report.repairs >= 1, "repairs {}", report.repairs);
+    assert_eq!(
+        report.history_digest, 0x75b3_6ab0_e6f1_2bf4,
+        "digest {:#018x}",
+        report.history_digest
+    );
 }

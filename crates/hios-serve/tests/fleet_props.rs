@@ -21,7 +21,7 @@ use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::fleet::{FleetConfig, FleetFaults, serve_fleet};
 use hios_serve::generate_trace_with_classes;
 use hios_serve::router::RouterPolicy;
-use hios_serve::{ClassMix, Disposition, Request, ServedModel, WorkloadConfig};
+use hios_serve::{ClassMix, Disposition, PriorityClass, Request, ServedModel, WorkloadConfig};
 use hios_sim::{ClusterFaultEvent, ClusterFaultKind};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -207,4 +207,36 @@ fn fleet_digest_is_identical_at_one_and_four_rayon_threads() {
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(d1, d4, "seed {seed}: digest differs across thread counts");
     }
+}
+
+/// Golden value: pins the outcome stream of a fault-free fleet whose
+/// tight Gold deadlines issue hedges, so a change to any fate, hedge or
+/// the digest's own fold fails here, even one that is self-consistent.
+#[test]
+fn history_digest_of_a_hedging_fleet_run_is_pinned() {
+    let models = models();
+    let bounds: Vec<f64> = models
+        .iter()
+        .map(|m| bounds::combined_bound(&m.graph, &m.cost, 2))
+        .collect();
+    let mut trace = trace(&models, 200, 70.0, 13);
+    for r in &mut trace {
+        if r.class == PriorityClass::Gold {
+            r.deadline_ms = r.arrival_ms + 2.0 * bounds[r.model];
+        }
+    }
+    let report = serve_fleet(
+        &models,
+        &trace,
+        &FleetFaults::none(),
+        &FleetConfig::new(3, 2),
+    )
+    .unwrap()
+    .report;
+    assert!(report.hedges_issued > 0, "tight Golds must hedge");
+    assert_eq!(
+        report.history_digest, 0x1020_b881_0b7d_b0b1,
+        "digest {:#018x}",
+        report.history_digest
+    );
 }

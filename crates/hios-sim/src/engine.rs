@@ -104,6 +104,21 @@ impl Scaling {
         self.link[from * self.gpu.len() + to]
     }
 
+    /// The factors seen by a schedule whose slot `i` runs on physical
+    /// GPU `gpu_map[i]`.
+    pub fn for_slots(&self, gpu_map: &[usize]) -> Scaling {
+        let mut link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
+        for &pf in gpu_map {
+            for &pt in gpu_map {
+                link.push(self.link_factor(pf, pt));
+            }
+        }
+        Scaling {
+            gpu: gpu_map.iter().map(|&p| self.gpu[p]).collect(),
+            link,
+        }
+    }
+
     fn check(&self, m: usize) -> Result<(), SimError> {
         if self.gpu.len() != m || self.link.len() != m * m {
             return Err(SimError::BadScaling {

@@ -36,8 +36,8 @@ use crate::engine::{Scaling, SimConfig, SimError, simulate_scaled};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError};
 use hios_core::eval::EvalWorkspace;
 use hios_core::repair::{RepairConfig, RepairError, RepairPolicy, repair_schedule};
-use hios_core::repair::{SubgraphMap, extract_unfinished, project_cost};
-use hios_core::schedule::{GpuSchedule, Schedule, Stage};
+use hios_core::repair::{extract_unfinished, project_cost};
+use hios_core::schedule::Schedule;
 use hios_cost::CostTable;
 use hios_graph::Graph;
 use std::fmt;
@@ -129,6 +129,17 @@ pub struct SimEvent {
     pub action: RepairAction,
 }
 
+impl SimEvent {
+    /// A fault that fired without disturbing the run.
+    fn absorbed(fault: &FaultEvent) -> Self {
+        SimEvent {
+            fault: *fault,
+            detected_ms: None,
+            action: RepairAction::Absorbed,
+        }
+    }
+}
+
 /// Outcome of a faulted run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryResult {
@@ -174,32 +185,6 @@ impl fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// Re-expresses a parent-id slot schedule in subgraph ids.
-fn to_sub_schedule(sched: &Schedule, map: &SubgraphMap) -> Schedule {
-    Schedule {
-        gpus: sched
-            .gpus
-            .iter()
-            .map(|gq| GpuSchedule {
-                stages: gq
-                    .stages
-                    .iter()
-                    .map(|st| Stage {
-                        ops: st
-                            .ops
-                            .iter()
-                            .map(|&p| {
-                                map.sub_id(p)
-                                    .expect("current schedule covers only unfinished operators")
-                            })
-                            .collect(),
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
 /// Runs `sched` on `g` under `plan`, repairing after every disruptive
 /// fault.  See the module docs for the exact cut semantics.
 pub fn run_with_repair(
@@ -221,15 +206,17 @@ pub fn run_with_repair(
     let mut t_now = 0.0f64;
     let mut events_out: Vec<SimEvent> = Vec::new();
     let mut repairs = 0usize;
-    // The live schedule is over *slots*; slot i is physical GPU
-    // gpu_map[i].  The input schedule starts with the identity map.
-    let mut cur_sched = sched.clone();
+    // The live schedule runs the unfinished subgraph `map.sub` over
+    // *slots*; slot i is physical GPU gpu_map[i].  The input schedule
+    // starts with the identity slot map, but its parent ids must be
+    // renumbered: the subgraph numbers operators in topological order.
+    let mut map = extract_unfinished(g, &completed);
+    let mut sub_sched = map.project_schedule(sched);
     let mut gpu_map: Vec<usize> = (0..m).collect();
     let mut ws = EvalWorkspace::new();
     let mut ev_idx = 0usize;
 
     loop {
-        let map = extract_unfinished(g, &completed);
         if map.sub.num_ops() == 0 {
             // Everything was pinned at the last cut.
             let makespan = finish_abs
@@ -237,14 +224,7 @@ pub fn run_with_repair(
                 .copied()
                 .filter(|f| f.is_finite())
                 .fold(0.0f64, f64::max);
-            while ev_idx < plan.events.len() {
-                events_out.push(SimEvent {
-                    fault: plan.events[ev_idx],
-                    detected_ms: None,
-                    action: RepairAction::Absorbed,
-                });
-                ev_idx += 1;
-            }
+            events_out.extend(plan.events[ev_idx..].iter().map(SimEvent::absorbed));
             return Ok(RecoveryResult {
                 makespan,
                 completed: true,
@@ -255,19 +235,14 @@ pub fn run_with_repair(
             });
         }
         let sub_cost = project_cost(cost, &map);
-        let sub_sched = to_sub_schedule(&cur_sched, &map);
-        let mut slot_link = Vec::with_capacity(gpu_map.len() * gpu_map.len());
-        for &pf in &gpu_map {
-            for &pt in &gpu_map {
-                slot_link.push(scale.link[pf * m + pt]);
-            }
-        }
-        let slot_scale = Scaling {
-            gpu: gpu_map.iter().map(|&p| scale.gpu[p]).collect(),
-            link: slot_link,
-        };
-        let r = simulate_scaled(&map.sub, &sub_cost, &sub_sched, &cfg.sim, &slot_scale)
-            .map_err(RecoverError::Sim)?;
+        let r = simulate_scaled(
+            &map.sub,
+            &sub_cost,
+            &sub_sched,
+            &cfg.sim,
+            &scale.for_slots(&gpu_map),
+        )
+        .map_err(RecoverError::Sim)?;
 
         // Consume events that cannot disturb this run.
         let mut disruptive: Option<FaultEvent> = None;
@@ -301,11 +276,7 @@ pub fn run_with_repair(
                 alive[gpu] = true;
                 scale.gpu[gpu] = 1.0;
             }
-            events_out.push(SimEvent {
-                fault: e,
-                detected_ms: None,
-                action: RepairAction::Absorbed,
-            });
+            events_out.push(SimEvent::absorbed(&e));
             ev_idx += 1;
         }
 
@@ -315,14 +286,7 @@ pub fn run_with_repair(
                 completed[p.index()] = true;
                 finish_abs[p.index()] = t_now + r.op_finish[si];
             }
-            while ev_idx < plan.events.len() {
-                events_out.push(SimEvent {
-                    fault: plan.events[ev_idx],
-                    detected_ms: None,
-                    action: RepairAction::Absorbed,
-                });
-                ev_idx += 1;
-            }
+            events_out.extend(plan.events[ev_idx..].iter().map(SimEvent::absorbed));
             return Ok(RecoveryResult {
                 makespan: t_now + r.makespan,
                 completed: true,
@@ -414,9 +378,10 @@ pub fn run_with_repair(
             });
         }
 
-        let (rep, _) = repair_schedule(&mut ws, g, cost, &completed, &alive, &cfg.repair)
+        let (rep, rep_map) = repair_schedule(&mut ws, g, cost, &completed, &alive, &cfg.repair)
             .map_err(RecoverError::Repair)?;
-        cur_sched = rep.schedule;
+        sub_sched = rep.schedule;
+        map = rep_map;
         gpu_map = rep.gpu_map;
         repairs += 1;
         events_out.push(SimEvent {
@@ -603,6 +568,35 @@ mod tests {
         let a = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
         let b = run_with_repair(&g, &cost, &s, &plan, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Golden value: the finish-time bits of a fixed fail-stop plus
+    /// link-fail run, so a change to the cut, repair or resume path
+    /// that shifts any operator's finish fails here.
+    #[test]
+    fn recovery_finish_times_are_pinned() {
+        let (g, cost, s, base) = setup(3, 6);
+        let plan = FaultPlan::new(vec![
+            FaultEvent {
+                at_ms: base * 0.3,
+                kind: FaultKind::GpuFailStop { gpu: 1 },
+            },
+            FaultEvent {
+                at_ms: base * 0.6,
+                kind: FaultKind::LinkFail { from: 0, to: 2 },
+            },
+        ]);
+        let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
+        assert!(r.completed);
+        assert_eq!(r.repairs, 2);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for f in &r.op_finish {
+            for b in f.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x3803_5a19_028d_9e15, "digest {h:#018x}");
     }
 
     #[test]

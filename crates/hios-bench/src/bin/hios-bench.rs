@@ -7,13 +7,13 @@
 //! With no experiment names, runs everything (fig1..fig14).  `--quick`
 //! drops the per-point instance count from the paper's 30 to 8 for a fast
 //! smoke run; `--smoke` shrinks grids further for CI.  `--validate`
-//! structurally checks every schedule the experiments produce.  Results
-//! land in `<out>/figNN_*.csv` plus a combined `<out>/summary.md`.
+//! structurally checks every schedule the experiments produce and fails
+//! the run on any failed headline criterion.  Results land in
+//! `<out>/figNN_*.csv` plus a combined `<out>/summary.md`; a smoke run
+//! writes `<out>/*.smoke.csv` and `<out>/summary.smoke.md` instead.
 
-use hios_bench::RunCfg;
 use hios_bench::experiments::{Experiment, all_experiments};
-use std::io::Write;
-use std::time::Instant;
+use hios_bench::{RunCfg, run_experiments};
 
 fn main() {
     let mut cfg = RunCfg::default();
@@ -57,38 +57,20 @@ fn main() {
     }
 
     let experiments = all_experiments();
-    let to_run: Vec<&Experiment> = if chosen.is_empty() {
-        experiments.iter().collect()
+    let to_run: Vec<Experiment> = if chosen.is_empty() {
+        experiments
     } else {
         chosen
             .iter()
             .map(|c| {
-                experiments
+                *experiments
                     .iter()
                     .find(|(n, _)| n == c)
                     .unwrap_or_else(|| die(&format!("unknown experiment `{c}`")))
             })
             .collect()
     };
-
-    std::fs::create_dir_all(&cfg.out_dir).expect("create results dir");
-    let mut summary = String::from("# HIOS reproduction results\n\n");
-    summary.push_str(&format!("seeds per simulation point: {}\n\n", cfg.seeds));
-    for (name, run) in to_run {
-        let started = Instant::now();
-        eprint!("running {name} ... ");
-        let table = run(&cfg);
-        table.write_csv(&cfg.out_dir).expect("write csv");
-        eprintln!(
-            "done in {:.1}s -> {}.csv",
-            started.elapsed().as_secs_f64(),
-            table.name
-        );
-        summary.push_str(&table.to_markdown());
-    }
-    let mut f = std::fs::File::create(cfg.out_dir.join("summary.md")).expect("summary.md");
-    f.write_all(summary.as_bytes()).expect("write summary");
-    eprintln!("wrote {}/summary.md", cfg.out_dir.display());
+    run_experiments(&cfg, &to_run);
 }
 
 fn die(msg: &str) -> ! {

@@ -26,11 +26,12 @@
 //! * `zero_drift_identical` — with no drift, calibration on/off produce
 //!   bit-identical serving histories (the loop is free when unneeded).
 //!
-//! `--validate` turns all three headline criteria into hard assertions.
+//! `alarms_total` must be at least 1: the drift cells have to raise
+//! alarms.  `--validate` fails the run on any of these four criteria.
 
-use super::{nominal, tenants};
+use super::{latency_fields, nominal, tenants};
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_cost::CalibrationConfig;
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace,
@@ -63,7 +64,7 @@ struct Mode {
     calibrate: bool,
 }
 
-/// All planning modes, in the order [`verdict`] expects per cell.
+/// All planning modes, in the order [`headline`] expects per cell.
 const MODES: [Mode; 3] = [
     Mode {
         name: "adaptive",
@@ -98,35 +99,22 @@ struct CellOut {
 
 impl CellOut {
     fn to_json(&self) -> Value {
-        let r = &self.report;
-        Value::Object(vec![
-            ("load".into(), Value::Str(self.cfg.load.name.to_string())),
-            (
-                "arrival_rate_rps".into(),
-                Value::Num(self.cfg.load.rate_rps),
-            ),
-            ("requests".into(), Value::Num(r.total as f64)),
-            (
-                "deadline_factor".into(),
-                Value::Num(self.cfg.load.deadline_factor),
-            ),
-            ("drift".into(), Value::Str(self.cfg.shape.to_string())),
-            ("mode".into(), Value::Str(self.cfg.mode.name.to_string())),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("p50_ms".into(), Value::Num(r.p50_ms)),
-            ("p95_ms".into(), Value::Num(r.p95_ms)),
-            ("p99_ms".into(), Value::Num(r.p99_ms)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("shed_rate".into(), Value::Num(r.shed_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("drift_alarms".into(), Value::Num(r.drift_alarms as f64)),
-            ("recalibrations".into(), Value::Num(r.recalibrations as f64)),
-            (
-                "cache_invalidations".into(),
-                Value::Num(r.cache_invalidations as f64),
-            ),
-        ])
+        let (c, r) = (&self.cfg, &self.report);
+        let mut fields = fields![
+            ("load", c.load.name),
+            ("arrival_rate_rps", c.load.rate_rps),
+            ("requests", r.total),
+            ("deadline_factor", c.load.deadline_factor),
+            ("drift", c.shape),
+            ("mode", c.mode.name),
+        ];
+        fields.extend(latency_fields(r));
+        fields.extend(fields![
+            ("drift_alarms", r.drift_alarms),
+            ("recalibrations", r.recalibrations),
+            ("cache_invalidations", r.cache_invalidations),
+        ]);
+        Value::Object(fields)
     }
 }
 
@@ -182,23 +170,10 @@ fn run_cell(c: CellCfg) -> CellOut {
     }
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Adaptive ≤ static on p99 AND miss rate in every drift cell.
-    adaptive_no_worse_everywhere: bool,
-    /// Adaptive strictly beats greedy (other metric no worse) in ≥1
-    /// drift cell.
-    adaptive_beats_greedy: bool,
-    /// Drift alarms raised by adaptive across all drift cells.
-    alarms_total: u64,
-    /// Worst adaptive-vs-static p99 ratio across drift cells (≤ 1 is
-    /// good).
-    worst_p99_ratio: f64,
-}
-
 /// Extract the (adaptive, static, greedy) triple of each (load, shape)
-/// cell and fold the acceptance verdicts.
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// cell and fold the acceptance criteria.  `worst_p99_ratio` is the
+/// worst adaptive-vs-static p99 ratio across drift cells (≤ 1 is good).
+fn headline(outs: &[CellOut]) -> Headline {
     let mut no_worse = true;
     let mut beats_greedy = false;
     let mut alarms = 0u64;
@@ -226,25 +201,42 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             beats_greedy = true;
         }
     }
-    Verdict {
-        adaptive_no_worse_everywhere: no_worse,
-        adaptive_beats_greedy: beats_greedy,
-        alarms_total: alarms,
-        worst_p99_ratio: worst_ratio,
-    }
-}
-
-/// The zero-drift bit-identity headline: with no drift, calibration
-/// on/off must produce the same serving history, bit for bit.
-fn zero_drift_identical(outs: &[CellOut]) -> bool {
+    // With no drift, calibration on/off must produce the same serving
+    // history, bit for bit.
     let digests: Vec<(bool, u64)> = outs
         .iter()
         .filter(|o| o.cfg.shape == "none" && o.cfg.mode.name != "greedy")
         .map(|o| (o.cfg.mode.calibrate, o.report.history_digest))
         .collect();
-    digests
+    let identical = digests
         .chunks(2)
-        .all(|pair| matches!(pair, [(true, a), (false, b)] if a == b))
+        .all(|pair| matches!(pair, [(true, a), (false, b)] if a == b));
+    Headline::new()
+        .check(
+            "adaptive_no_worse_everywhere",
+            no_worse,
+            format!(
+                "adaptive must match static planning on p99 and miss rate in every drift cell \
+                 (worst p99 ratio {worst_ratio})"
+            ),
+        )
+        .check(
+            "adaptive_beats_greedy",
+            beats_greedy,
+            "adaptive must strictly beat greedy dispatch in at least one drift cell",
+        )
+        .check(
+            "zero_drift_identical",
+            identical,
+            "zero-drift calibration must be bit-identical to calibration off",
+        )
+        .at_least(
+            "alarms_total",
+            alarms as f64,
+            1.0,
+            "drift cells must raise alarms",
+        )
+        .num("worst_p99_ratio", worst_ratio)
 }
 
 /// The `drift` experiment.
@@ -287,25 +279,6 @@ pub fn drift(cfg: &RunCfg) -> Table {
         }
     }
     let outs: Vec<CellOut> = cells.into_par_iter().map(run_cell).collect();
-    let v = verdict(&outs);
-    let identical = zero_drift_identical(&outs);
-    if cfg.validate {
-        assert!(
-            v.adaptive_no_worse_everywhere,
-            "adaptive must match static planning on p99 and miss rate in every drift cell \
-             (worst p99 ratio {})",
-            v.worst_p99_ratio
-        );
-        assert!(
-            v.adaptive_beats_greedy,
-            "adaptive must strictly beat greedy dispatch in at least one drift cell"
-        );
-        assert!(
-            identical,
-            "zero-drift calibration must be bit-identical to calibration off"
-        );
-        assert!(v.alarms_total > 0, "drift cells must raise alarms");
-    }
 
     let mut t = Table::new(
         "drift",
@@ -339,32 +312,18 @@ pub fn drift(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("drift".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "adaptive_no_worse_everywhere".into(),
-                    Value::Bool(v.adaptive_no_worse_everywhere),
-                ),
-                (
-                    "adaptive_beats_greedy".into(),
-                    Value::Bool(v.adaptive_beats_greedy),
-                ),
-                ("zero_drift_identical".into(), Value::Bool(identical)),
-                ("alarms_total".into(), Value::Num(v.alarms_total as f64)),
-                ("worst_p99_ratio".into(), Value::Num(v.worst_p99_ratio)),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("drift", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "drift",
+        cfg,
+        fields![
+            ("experiment", "drift"),
+            ("gpus", GPUS),
+            ("smoke", cfg.smoke),
+            ("points", points),
+        ],
+        headline(&outs),
+    );
     t
 }
 
@@ -390,9 +349,7 @@ mod tests {
                 })
             })
             .collect();
-        let v = verdict(&outs);
-        assert!(v.adaptive_no_worse_everywhere, "p99/miss verdict failed");
-        assert!(v.alarms_total > 0, "ramp must raise alarms");
+        headline(&outs).assert_holds(&["adaptive_no_worse_everywhere", "alarms_total"]);
     }
 
     #[test]

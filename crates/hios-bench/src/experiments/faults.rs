@@ -12,7 +12,7 @@
 //! `completion_rate_overall` (the acceptance bar is 1.0).
 
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_core::repair::{RepairConfig, RepairPolicy};
 use hios_core::{Algorithm, SchedulerOptions, run_scheduler};
 use hios_cost::AnalyticCostModel;
@@ -49,20 +49,17 @@ impl CellOut {
     }
 
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::Str(self.cfg.model.to_string())),
-            ("input_size".into(), Value::Num(f64::from(self.cfg.size))),
-            ("gpus".into(), Value::Num(self.cfg.gpus as f64)),
-            ("fault".into(), Value::Str(self.cfg.fault.to_string())),
-            (
-                "policy".into(),
-                Value::Str(self.cfg.policy.name().to_string()),
-            ),
-            ("completion_rate".into(), Value::Num(self.completion_rate)),
-            ("fault_free_ms".into(), Value::Num(self.base_ms)),
-            ("faulted_ms".into(), Value::Num(self.faulted_ms)),
-            ("degradation".into(), Value::Num(self.degradation())),
-            ("mean_repairs".into(), Value::Num(self.mean_repairs)),
+        Value::Object(fields![
+            ("model", self.cfg.model),
+            ("input_size", self.cfg.size),
+            ("gpus", self.cfg.gpus),
+            ("fault", self.cfg.fault),
+            ("policy", self.cfg.policy.name()),
+            ("completion_rate", self.completion_rate),
+            ("fault_free_ms", self.base_ms),
+            ("faulted_ms", self.faulted_ms),
+            ("degradation", self.degradation()),
+            ("mean_repairs", self.mean_repairs),
         ])
     }
 }
@@ -207,23 +204,20 @@ pub fn fault_matrix(cfg: &RunCfg) -> Table {
 
     let overall = outs.iter().map(|o| o.completion_rate).sum::<f64>() / outs.len() as f64;
     let worst = outs.iter().map(CellOut::degradation).fold(0.0f64, f64::max);
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("fault-matrix".into())),
-        ("runs_per_cell".into(), Value::Num(f64::from(runs))),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                ("completion_rate_overall".into(), Value::Num(overall)),
-                ("worst_degradation".into(), Value::Num(worst)),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("faults", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "faults",
+        cfg,
+        fields![
+            ("experiment", "fault-matrix"),
+            ("runs_per_cell", runs),
+            ("smoke", cfg.smoke),
+            ("points", points),
+        ],
+        Headline::new()
+            .num("completion_rate_overall", overall)
+            .num("worst_degradation", worst),
+    );
     t
 }
 

@@ -36,11 +36,11 @@
 //! * `deterministic` — the fault-free fleet run is digest-identical
 //!   across repetitions and rayon thread counts.
 //!
-//! `--validate` turns all four headline criteria into hard assertions.
+//! `--validate` fails the run on any of these four criteria.
 
-use super::{nominal, saturated_rate_rps, tenants};
+use super::{class_json, nominal, saturated_rate_rps, tenants};
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_serve::fleet::{FleetConfig, FleetFaults, FleetOutcome, serve_fleet};
 use hios_serve::{
     ClassMix, FleetDisposition, FleetReport, FleetShedReason, PriorityClass, Request, Router,
@@ -249,80 +249,39 @@ fn run_cell(models: &[ServedModel], trace: &[Request], c: CellCfg, hot: usize) -
 impl CellOut {
     fn to_json(&self) -> Value {
         let r = &self.report;
-        let class = |c: PriorityClass| {
-            let s = &r.class_stats[c.index()];
-            Value::Object(vec![
-                ("total".into(), Value::Num(s.total as f64)),
-                ("on_time".into(), Value::Num(s.on_time as f64)),
-                ("shed".into(), Value::Num(s.shed as f64)),
-                ("p99_ms".into(), Value::Num(s.p99_ms)),
-                ("miss_rate".into(), Value::Num(s.miss_rate)),
-                ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-            ])
-        };
-        Value::Object(vec![
-            ("fault".into(), Value::Str(self.cfg.shape.to_string())),
-            (
-                "policy".into(),
-                Value::Str(policy_name(self.cfg.failover).to_string()),
-            ),
-            ("total".into(), Value::Num(r.total as f64)),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("shed".into(), Value::Num(r.shed as f64)),
-            ("lost".into(), Value::Num(self.lost as f64)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("gold".into(), class(PriorityClass::Gold)),
-            ("silver".into(), class(PriorityClass::Silver)),
-            ("bronze".into(), class(PriorityClass::Bronze)),
-            ("rerouted".into(), Value::Num(r.rerouted as f64)),
-            ("failover_sheds".into(), Value::Num(r.failover_sheds as f64)),
-            (
-                "dead_cluster_sheds".into(),
-                Value::Num(r.dead_cluster_sheds as f64),
-            ),
-            (
-                "partitioned_sheds".into(),
-                Value::Num(r.partitioned_sheds as f64),
-            ),
-            (
-                "backpressure_sheds".into(),
-                Value::Num(r.backpressure_sheds as f64),
-            ),
-            ("hedges_issued".into(), Value::Num(r.hedges_issued as f64)),
-            (
-                "hedge_wins_secondary".into(),
-                Value::Num(r.hedge_wins_secondary as f64),
-            ),
-            (
-                "hedge_cancelled".into(),
-                Value::Num(r.hedge_cancelled as f64),
-            ),
-            ("cluster_kills".into(), Value::Num(r.cluster_kills as f64)),
-            ("partitions".into(), Value::Num(r.partitions as f64)),
-            (
-                "history_digest".into(),
-                Value::Str(format!("{:016x}", r.history_digest)),
-            ),
+        Value::Object(fields![
+            ("fault", self.cfg.shape),
+            ("policy", policy_name(self.cfg.failover)),
+            ("total", r.total),
+            ("completed", r.completed),
+            ("on_time", r.on_time),
+            ("shed", r.shed),
+            ("lost", self.lost),
+            ("miss_rate", r.miss_rate),
+            ("goodput_rps", r.goodput_rps),
+            ("gold", class_json(&r.class_stats, PriorityClass::Gold)),
+            ("silver", class_json(&r.class_stats, PriorityClass::Silver)),
+            ("bronze", class_json(&r.class_stats, PriorityClass::Bronze)),
+            ("rerouted", r.rerouted),
+            ("failover_sheds", r.failover_sheds),
+            ("dead_cluster_sheds", r.dead_cluster_sheds),
+            ("partitioned_sheds", r.partitioned_sheds),
+            ("backpressure_sheds", r.backpressure_sheds),
+            ("hedges_issued", r.hedges_issued),
+            ("hedge_wins_secondary", r.hedge_wins_secondary),
+            ("hedge_cancelled", r.hedge_cancelled),
+            ("cluster_kills", r.cluster_kills),
+            ("partitions", r.partitions),
+            ("history_digest", format!("{:016x}", r.history_digest)),
         ])
     }
 }
 
-/// Headline verdicts over the grid.
-struct Verdict {
-    /// Failover Gold goodput under the kill ÷ fault-free Gold goodput.
-    gold_goodput_ratio: f64,
-    /// ≥ 0.95 kept.
-    gold_goodput_kept: bool,
-    /// Static strictly worse in every kill cell, and it lost every
-    /// post-kill request routed to the dead cluster.
-    static_strictly_worse: bool,
-    /// Every cell produced exactly one record per request.
-    zero_lost: bool,
-}
-
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// The acceptance criteria over the grid.  `gold_goodput_ratio` is the
+/// failover Gold goodput under the kill ÷ the fault-free one;
+/// `deterministic` says whether the fault-free run replayed
+/// digest-identically across repetitions and thread counts.
+fn headline(outs: &[CellOut], deterministic: bool) -> Headline {
     let find = |shape: &str, failover: bool| {
         outs.iter()
             .find(|o| o.cfg.shape == shape && o.cfg.failover == failover)
@@ -350,12 +309,30 @@ fn verdict(outs: &[CellOut]) -> Verdict {
         }
     }
 
-    Verdict {
-        gold_goodput_ratio,
-        gold_goodput_kept: gold_goodput_ratio >= 0.95,
-        static_strictly_worse,
-        zero_lost: outs.iter().all(|o| o.lost == 0),
-    }
+    Headline::new()
+        .num("gold_goodput_ratio", gold_goodput_ratio)
+        .check(
+            "gold_goodput_kept",
+            gold_goodput_ratio >= 0.95,
+            format!(
+                "failover must keep Gold goodput >= 0.95x the no-fault run, got {gold_goodput_ratio:.4}"
+            ),
+        )
+        .check(
+            "static_strictly_worse",
+            static_strictly_worse,
+            "the static-hash ablation must be strictly worse in every kill cell",
+        )
+        .check(
+            "zero_lost",
+            outs.iter().all(|o| o.lost == 0),
+            "every request must end in exactly one record",
+        )
+        .check(
+            "deterministic",
+            deterministic,
+            "fault-free fleet run must be digest-identical across reps and thread counts",
+        )
 }
 
 /// The `fleet` experiment.
@@ -381,7 +358,6 @@ pub fn fleet(cfg: &RunCfg) -> Table {
         .into_par_iter()
         .map(|c| run_cell(&models, &trace, c, hot))
         .collect();
-    let v = verdict(&outs);
 
     // Determinism: the fault-free failover run must be digest-identical
     // across repetitions and rayon thread counts.  (Sequential on
@@ -405,23 +381,6 @@ pub fn fleet(cfg: &RunCfg) -> Table {
         .history_digest;
     std::env::remove_var("RAYON_NUM_THREADS");
     let deterministic = base_digest == rep_digest && base_digest == d1 && base_digest == d4;
-
-    if cfg.validate {
-        assert!(
-            v.gold_goodput_kept,
-            "failover must keep Gold goodput >= 0.95x the no-fault run, got {:.4}",
-            v.gold_goodput_ratio
-        );
-        assert!(
-            v.static_strictly_worse,
-            "the static-hash ablation must be strictly worse in every kill cell"
-        );
-        assert!(v.zero_lost, "every request must end in exactly one record");
-        assert!(
-            deterministic,
-            "fault-free fleet run must be digest-identical across reps and thread counts"
-        );
-    }
 
     let mut t = Table::new(
         "fleet",
@@ -457,41 +416,24 @@ pub fn fleet(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("fleet".into())),
-        ("clusters".into(), Value::Num(CLUSTERS as f64)),
-        (
-            "gpus_per_cluster".into(),
-            Value::Num(GPUS_PER_CLUSTER as f64),
-        ),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        ("requests".into(), Value::Num(requests as f64)),
-        ("rate_rps".into(), Value::Num(rate)),
-        ("load_fraction".into(), Value::Num(LOAD_FRACTION)),
-        ("deadline_factor".into(), Value::Num(DEADLINE_FACTOR)),
-        ("killed_cluster".into(), Value::Num(hot as f64)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "gold_goodput_ratio".into(),
-                    Value::Num(v.gold_goodput_ratio),
-                ),
-                ("gold_goodput_kept".into(), Value::Bool(v.gold_goodput_kept)),
-                (
-                    "static_strictly_worse".into(),
-                    Value::Bool(v.static_strictly_worse),
-                ),
-                ("zero_lost".into(), Value::Bool(v.zero_lost)),
-                ("deterministic".into(), Value::Bool(deterministic)),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("fleet", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "fleet",
+        cfg,
+        fields![
+            ("experiment", "fleet"),
+            ("clusters", CLUSTERS),
+            ("gpus_per_cluster", GPUS_PER_CLUSTER),
+            ("smoke", cfg.smoke),
+            ("requests", requests),
+            ("rate_rps", rate),
+            ("load_fraction", LOAD_FRACTION),
+            ("deadline_factor", DEADLINE_FACTOR),
+            ("killed_cluster", hot),
+            ("points", points),
+        ],
+        headline(&outs, deterministic),
+    );
     t
 }
 
@@ -514,17 +456,11 @@ mod tests {
         .iter()
         .map(|&(shape, failover)| run_cell(&models, &trace, CellCfg { shape, failover }, hot))
         .collect();
-        let v = verdict(&outs);
-        assert!(v.zero_lost);
-        assert!(
-            v.static_strictly_worse,
-            "static must lose the dead cluster's requests"
-        );
-        assert!(
-            v.gold_goodput_kept,
-            "gold goodput ratio {:.4}",
-            v.gold_goodput_ratio
-        );
+        headline(&outs, true).assert_holds(&[
+            "zero_lost",
+            "static_strictly_worse",
+            "gold_goodput_kept",
+        ]);
     }
 
     #[test]

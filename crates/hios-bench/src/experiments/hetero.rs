@@ -17,7 +17,7 @@
 
 use super::testbed::build_model;
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_core::{Algorithm, SchedulerOptions, evaluate, run_scheduler};
 use hios_cost::{AnalyticCostModel, Platform, platform_table};
 use rayon::prelude::*;
@@ -50,14 +50,14 @@ impl CellOut {
     }
 
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("model".into(), Value::Str(self.cfg.model.to_string())),
-            ("input_size".into(), Value::Num(f64::from(self.cfg.size))),
-            ("hetero_lp_ms".into(), Value::Num(self.hetero_lp_ms)),
-            ("hetero_mr_ms".into(), Value::Num(self.hetero_mr_ms)),
-            ("sequential_ms".into(), Value::Num(self.sequential_ms)),
-            ("homog_lp_ms".into(), Value::Num(self.homog_lp_ms)),
-            ("speedup".into(), Value::Num(self.speedup())),
+        Value::Object(fields![
+            ("model", self.cfg.model),
+            ("input_size", self.cfg.size),
+            ("hetero_lp_ms", self.hetero_lp_ms),
+            ("hetero_mr_ms", self.hetero_mr_ms),
+            ("sequential_ms", self.sequential_ms),
+            ("homog_lp_ms", self.homog_lp_ms),
+            ("speedup", self.speedup()),
         ])
     }
 }
@@ -152,38 +152,40 @@ pub fn hetero(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let all_win = outs.iter().all(|o| o.hetero_lp_ms < o.homog_lp_ms);
-    if cfg.validate {
-        assert!(
-            all_win,
-            "hetero-aware HIOS-LP must beat the homogeneous assumption on every cell"
-        );
-    }
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "hetero",
+        cfg,
+        fields![
+            ("experiment", "hetero"),
+            ("platform", "mixed_a40_v100s"),
+            ("gpus", GPUS),
+            ("smoke", cfg.smoke),
+            ("points", points),
+        ],
+        headline(&outs),
+    );
+    t
+}
+
+/// The acceptance criterion over the grid, plus the speedup spread.
+fn headline(outs: &[CellOut]) -> Headline {
     let worst = outs
         .iter()
         .map(CellOut::speedup)
         .fold(f64::INFINITY, f64::min);
     let mean = outs.iter().map(CellOut::speedup).sum::<f64>() / outs.len() as f64;
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("hetero".into())),
-        ("platform".into(), Value::Str("mixed_a40_v100s".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                ("hetero_lp_beats_homogeneous".into(), Value::Bool(all_win)),
-                ("worst_speedup".into(), Value::Num(worst)),
-                ("mean_speedup".into(), Value::Num(mean)),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("hetero", cfg.smoke, &json);
-    t
+    Headline::new()
+        .check(
+            "hetero_lp_beats_homogeneous",
+            outs.iter().all(|o| o.hetero_lp_ms < o.homog_lp_ms),
+            format!(
+                "hetero-aware HIOS-LP must beat the homogeneous assumption on every cell \
+                 (worst speedup {worst:.3})"
+            ),
+        )
+        .num("worst_speedup", worst)
+        .num("mean_speedup", mean)
 }
 
 #[cfg(test)]
@@ -199,12 +201,7 @@ mod tests {
             },
             true,
         );
-        assert!(
-            o.hetero_lp_ms < o.homog_lp_ms,
-            "hetero-aware LP ({:.3} ms) must beat the homogeneous assumption ({:.3} ms)",
-            o.hetero_lp_ms,
-            o.homog_lp_ms
-        );
+        headline(&[o]).assert_holds(&["hetero_lp_beats_homogeneous"]);
     }
 
     #[test]
@@ -226,21 +223,35 @@ mod tests {
 
     #[test]
     fn smoke_run_emits_table_and_headline() {
-        let committed = crate::bench_json_path("hetero", false);
-        let before = std::fs::read(&committed).expect("committed BENCH_hetero.json");
-        let t = hetero(&RunCfg {
+        // Drive the run the way the CLI does, pointed at the committed
+        // results: a smoke run must leave every recorded file untouched.
+        let results = crate::repo_root().join("results");
+        let committed = [
+            crate::bench_json_path("hetero", false),
+            results.join("hetero.csv"),
+            results.join("summary.md"),
+        ];
+        let read = |p: &std::path::PathBuf| {
+            std::fs::read(p).unwrap_or_else(|e| panic!("{}: {e}", p.display()))
+        };
+        let before: Vec<Vec<u8>> = committed.iter().map(read).collect();
+        let cfg = RunCfg {
             smoke: true,
+            out_dir: results,
             ..Default::default()
-        });
-        assert_eq!(t.rows.len(), 1);
+        };
+        crate::run_experiments(&cfg, &[("hetero", hetero)]);
+        let csv = std::fs::read_to_string(cfg.out_path("hetero", "csv")).expect("smoke table");
+        assert_eq!(csv.lines().count(), 2, "header + one smoke cell");
         let json = std::fs::read_to_string(crate::bench_json_path("hetero", true))
             .expect("smoke summary written");
         assert!(json.contains("\"hetero_lp_beats_homogeneous\": true"));
-        let after = std::fs::read(&committed).expect("committed BENCH_hetero.json");
-        assert!(
-            before == after,
-            "a smoke run rewrote {}",
-            committed.display()
-        );
+        for (path, before) in committed.iter().zip(&before) {
+            assert!(
+                read(path) == *before,
+                "a smoke run rewrote {}",
+                path.display()
+            );
+        }
     }
 }

@@ -20,9 +20,11 @@ use hios_core::bounds;
 use hios_cost::AnalyticCostModel;
 use hios_graph::{LayeredDagConfig, generate_layered_dag};
 use hios_serve::{
-    ClassMix, ServeConfig, ServedModel, WorkloadConfig, generate_trace_with_classes, serve,
+    ClassMix, ClassStats, PriorityClass, ServeConfig, ServeReport, ServedModel, WorkloadConfig,
+    generate_trace_with_classes, serve,
 };
 use hios_sim::FaultPlan;
+use serde_json::Value;
 
 /// A named experiment: CLI name + the function producing its table.
 pub type Experiment = (&'static str, fn(&RunCfg) -> Table);
@@ -120,6 +122,35 @@ pub(crate) fn saturated_rate_rps(
     )
     .expect("well-formed probe setup");
     1000.0 * out.report.completed as f64 / out.report.horizon_ms
+}
+
+/// One priority class's outcome, as the per-class object of the
+/// `overload` and `fleet` points.
+pub(crate) fn class_json(stats: &[ClassStats; 3], class: PriorityClass) -> Value {
+    let s = &stats[class.index()];
+    Value::Object(fields![
+        ("total", s.total),
+        ("on_time", s.on_time),
+        ("shed", s.shed),
+        ("p99_ms", s.p99_ms),
+        ("miss_rate", s.miss_rate),
+        ("goodput_rps", s.goodput_rps),
+    ])
+}
+
+/// The latency and goodput fields of a serving run, in the order the
+/// `serving` and `drift` points carry them.
+pub(crate) fn latency_fields(r: &ServeReport) -> Vec<(String, Value)> {
+    fields![
+        ("completed", r.completed),
+        ("on_time", r.on_time),
+        ("p50_ms", r.p50_ms),
+        ("p95_ms", r.p95_ms),
+        ("p99_ms", r.p99_ms),
+        ("miss_rate", r.miss_rate),
+        ("shed_rate", r.shed_rate),
+        ("goodput_rps", r.goodput_rps),
+    ]
 }
 
 #[cfg(test)]

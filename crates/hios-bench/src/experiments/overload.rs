@@ -30,13 +30,15 @@
 //! * `nominal_identical` — at 1× load with no faults, the attached
 //!   controller is bit-identical to the unhardened server;
 //! * `deterministic_replay` — the deepest overload cell replays
-//!   digest-identically.
+//!   digest-identically;
+//! * `brownout_sheds_total` ≥ 1 — the overloaded cells actually brown
+//!   out (the controller must act, not win by accident).
 //!
-//! `--validate` turns all four headline criteria into hard assertions.
+//! `--validate` fails the run on any of these five criteria.
 
-use super::{nominal, saturated_rate_rps, tenants};
+use super::{class_json, nominal, saturated_rate_rps, tenants};
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_serve::{
     ClassMix, OverloadConfig, PriorityClass, Request, ServeConfig, ServeReport, ServedModel,
     WorkloadConfig, generate_trace_with_classes, serve, trace_span_ms,
@@ -84,70 +86,27 @@ struct CellOut {
 impl CellOut {
     fn to_json(&self) -> Value {
         let r = &self.report;
-        let class = |c: PriorityClass| {
-            let s = &r.class_stats[c.index()];
-            Value::Object(vec![
-                ("total".into(), Value::Num(s.total as f64)),
-                ("on_time".into(), Value::Num(s.on_time as f64)),
-                ("shed".into(), Value::Num(s.shed as f64)),
-                ("p99_ms".into(), Value::Num(s.p99_ms)),
-                ("miss_rate".into(), Value::Num(s.miss_rate)),
-                ("goodput_rps".into(), Value::Num(s.goodput_rps)),
-            ])
-        };
-        Value::Object(vec![
-            ("load_mult".into(), Value::Num(self.cfg.mult)),
-            ("fault".into(), Value::Str(self.cfg.shape.to_string())),
-            (
-                "mode".into(),
-                Value::Str(mode_name(self.cfg.harden).to_string()),
-            ),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("p99_ms".into(), Value::Num(r.p99_ms)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("gold".into(), class(PriorityClass::Gold)),
-            ("silver".into(), class(PriorityClass::Silver)),
-            ("bronze".into(), class(PriorityClass::Bronze)),
-            ("shed_queue".into(), Value::Num(r.shed_queue as f64)),
-            ("shed_brownout".into(), Value::Num(r.shed_brownout as f64)),
-            (
-                "shed_retry_budget".into(),
-                Value::Num(r.shed_retry_budget as f64),
-            ),
-            (
-                "retry_budget_denied".into(),
-                Value::Num(r.retry_budget_denied as f64),
-            ),
-            (
-                "flap_escalations".into(),
-                Value::Num(r.flap_escalations as f64),
-            ),
-            (
-                "brownout_transitions".into(),
-                Value::Num(r.brownout.transitions as f64),
-            ),
-            (
-                "brownout_max_level".into(),
-                Value::Num(f64::from(r.brownout.max_level)),
-            ),
-            (
-                "brownout_timeline".into(),
-                Value::Array(
-                    r.brownout
-                        .timeline
-                        .iter()
-                        .map(|&(at, lvl)| {
-                            Value::Array(vec![Value::Num(at), Value::Num(f64::from(lvl))])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "history_digest".into(),
-                Value::Str(format!("{:016x}", r.history_digest)),
-            ),
+        Value::Object(fields![
+            ("load_mult", self.cfg.mult),
+            ("fault", self.cfg.shape),
+            ("mode", mode_name(self.cfg.harden)),
+            ("completed", r.completed),
+            ("on_time", r.on_time),
+            ("p99_ms", r.p99_ms),
+            ("miss_rate", r.miss_rate),
+            ("goodput_rps", r.goodput_rps),
+            ("gold", class_json(&r.class_stats, PriorityClass::Gold)),
+            ("silver", class_json(&r.class_stats, PriorityClass::Silver)),
+            ("bronze", class_json(&r.class_stats, PriorityClass::Bronze)),
+            ("shed_queue", r.shed_queue),
+            ("shed_brownout", r.shed_brownout),
+            ("shed_retry_budget", r.shed_retry_budget),
+            ("retry_budget_denied", r.retry_budget_denied),
+            ("flap_escalations", r.flap_escalations),
+            ("brownout_transitions", r.brownout.transitions),
+            ("brownout_max_level", r.brownout.max_level),
+            ("brownout_timeline", r.brownout.timeline),
+            ("history_digest", format!("{:016x}", r.history_digest)),
         ])
     }
 }
@@ -224,24 +183,12 @@ fn run_cell(models: &[ServedModel], rate_1x: f64, c: CellCfg) -> CellOut {
     }
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Brownout Gold on-time ≥ static in every ≥ 1.5× cell.
-    gold_protected_overloaded: bool,
-    /// No cell's controller exceeded [`MAX_TRANSITIONS`].
-    transitions_bounded: bool,
-    /// Worst brownout-vs-static Gold on-time deficit (≥ 0 is good).
-    worst_gold_margin: i64,
-    /// Most transitions any cell's controller made.
-    max_transitions: u64,
-    /// Brownout sheds across all overloaded cells (the controller must
-    /// actually act, not win by accident).
-    brownout_sheds_total: u64,
-}
-
-/// Cells come in `(brownout, static)` pairs per `(mult, shape)`.
-fn verdict(outs: &[CellOut]) -> Verdict {
-    let mut protected = true;
+/// The acceptance criteria over the grid.  Cells come in
+/// `(brownout, static)` pairs per `(mult, shape)`; `deterministic_replay`
+/// says whether the deepest cell replayed digest-identically.
+/// `worst_gold_margin` is the worst brownout-vs-static Gold on-time
+/// deficit (≥ 0 is good).
+fn headline(outs: &[CellOut], deterministic_replay: bool) -> Headline {
     let mut worst_margin = i64::MAX;
     let mut max_transitions = 0u64;
     let mut sheds = 0u64;
@@ -259,21 +206,51 @@ fn verdict(outs: &[CellOut]) -> Verdict {
         let margin = brn.report.class_stats[gold].on_time as i64
             - stat.report.class_stats[gold].on_time as i64;
         worst_margin = worst_margin.min(margin);
-        if margin < 0 {
-            protected = false;
-        }
     }
-    Verdict {
-        gold_protected_overloaded: protected,
-        transitions_bounded: max_transitions <= MAX_TRANSITIONS,
-        worst_gold_margin: if worst_margin == i64::MAX {
-            0
-        } else {
-            worst_margin
-        },
-        max_transitions,
-        brownout_sheds_total: sheds,
+    if worst_margin == i64::MAX {
+        worst_margin = 0; // no overloaded cell
     }
+    // Digest identity at nominal load: the attached controller must not
+    // perturb a server that never needs it.
+    let nominal_pair: Vec<u64> = outs
+        .iter()
+        .filter(|o| o.cfg.mult == 1.0 && o.cfg.shape == "none")
+        .map(|o| o.report.history_digest)
+        .collect();
+    Headline::new()
+        .check(
+            "gold_protected_overloaded",
+            worst_margin >= 0,
+            format!(
+                "brownout must keep Gold on-time >= static in every >=1.5x cell \
+                 (worst margin {worst_margin})"
+            ),
+        )
+        .check(
+            "transitions_bounded",
+            max_transitions <= MAX_TRANSITIONS,
+            format!(
+                "brownout controller oscillated: {max_transitions} transitions > {MAX_TRANSITIONS}"
+            ),
+        )
+        .check(
+            "nominal_identical",
+            matches!(nominal_pair.as_slice(), [a, b] if a == b),
+            "at 1x no-fault the controller must be digest-identical to the static server",
+        )
+        .check(
+            "deterministic_replay",
+            deterministic_replay,
+            "overload cells must replay bit-identically",
+        )
+        .num("worst_gold_margin", worst_margin as f64)
+        .num("max_transitions", max_transitions as f64)
+        .at_least(
+            "brownout_sheds_total",
+            sheds as f64,
+            1.0,
+            "overloaded cells must actually brown out",
+        )
 }
 
 /// The `overload` experiment.
@@ -301,16 +278,6 @@ pub fn overload(cfg: &RunCfg) -> Table {
         .into_par_iter()
         .map(|c| run_cell(&models, rate_1x, c))
         .collect();
-    let v = verdict(&outs);
-
-    // Digest identity at nominal load: the attached controller must not
-    // perturb a server that never needs it.
-    let nominal_pair: Vec<u64> = outs
-        .iter()
-        .filter(|o| o.cfg.mult == 1.0 && o.cfg.shape == "none")
-        .map(|o| o.report.history_digest)
-        .collect();
-    let nominal_identical = matches!(nominal_pair.as_slice(), [a, b] if a == b);
 
     // Deterministic replay of the deepest overload cell.
     let deepest = CellCfg {
@@ -326,32 +293,6 @@ pub fn overload(cfg: &RunCfg) -> Table {
         .report
         .history_digest;
     let deterministic_replay = replay_digest == original_digest;
-
-    if cfg.validate {
-        assert!(
-            v.gold_protected_overloaded,
-            "brownout must keep Gold on-time >= static in every >=1.5x cell \
-             (worst margin {})",
-            v.worst_gold_margin
-        );
-        assert!(
-            v.transitions_bounded,
-            "brownout controller oscillated: {} transitions > {}",
-            v.max_transitions, MAX_TRANSITIONS
-        );
-        assert!(
-            v.brownout_sheds_total > 0,
-            "overloaded cells must actually brown out"
-        );
-        assert!(
-            nominal_identical,
-            "at 1x no-fault the controller must be digest-identical to the static server"
-        );
-        assert!(
-            deterministic_replay,
-            "overload cells must replay bit-identically"
-        );
-    }
 
     let mut t = Table::new(
         "overload",
@@ -389,49 +330,21 @@ pub fn overload(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("overload".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        ("rate_1x_rps".into(), Value::Num(rate_1x)),
-        ("requests_per_cell".into(), Value::Num(REQUESTS as f64)),
-        ("deadline_factor".into(), Value::Num(DEADLINE_FACTOR)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "gold_protected_overloaded".into(),
-                    Value::Bool(v.gold_protected_overloaded),
-                ),
-                (
-                    "transitions_bounded".into(),
-                    Value::Bool(v.transitions_bounded),
-                ),
-                ("nominal_identical".into(), Value::Bool(nominal_identical)),
-                (
-                    "deterministic_replay".into(),
-                    Value::Bool(deterministic_replay),
-                ),
-                (
-                    "worst_gold_margin".into(),
-                    Value::Num(v.worst_gold_margin as f64),
-                ),
-                (
-                    "max_transitions".into(),
-                    Value::Num(v.max_transitions as f64),
-                ),
-                (
-                    "brownout_sheds_total".into(),
-                    Value::Num(v.brownout_sheds_total as f64),
-                ),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("overload", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "overload",
+        cfg,
+        fields![
+            ("experiment", "overload"),
+            ("gpus", GPUS),
+            ("smoke", cfg.smoke),
+            ("rate_1x_rps", rate_1x),
+            ("requests_per_cell", REQUESTS),
+            ("deadline_factor", DEADLINE_FACTOR),
+            ("points", points),
+        ],
+        headline(&outs, deterministic_replay),
+    );
     t
 }
 
@@ -457,14 +370,11 @@ mod tests {
                 )
             })
             .collect();
-        let v = verdict(&outs);
-        assert!(
-            v.gold_protected_overloaded,
-            "gold margin {}",
-            v.worst_gold_margin
-        );
-        assert!(v.brownout_sheds_total > 0, "2x load never browned out");
-        assert!(v.transitions_bounded);
+        headline(&outs, true).assert_holds(&[
+            "gold_protected_overloaded",
+            "brownout_sheds_total",
+            "transitions_bounded",
+        ]);
     }
 
     #[test]

@@ -34,11 +34,11 @@
 //! * `disabled_identical` — serving with an empty store attached is
 //!   bit-identical to serving with no store at all.
 //!
-//! `--validate` turns all five headline criteria into hard assertions.
+//! `--validate` fails the run on any of these five criteria.
 
 use super::tenants;
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_serve::{
     PriorityClass, Request, Rung, ServeConfig, ServeOutcome, ServeReport, ServedModel, StoreConfig,
     serve,
@@ -99,56 +99,27 @@ struct CellOut {
 
 impl CellOut {
     fn to_json(&self) -> Value {
-        Value::Object(vec![
+        let (cold, warm) = (&self.cold, &self.warm);
+        Value::Object(fields![
+            ("scenario", self.corruption.name()),
+            ("requests", cold.total),
+            ("cold_first_p99_ms", self.cold_first_p99_ms),
+            ("warm_first_p99_ms", self.warm_first_p99_ms),
+            ("cold_p99_ms", cold.p99_ms),
+            ("warm_p99_ms", warm.p99_ms),
+            ("cold_goodput_rps", cold.goodput_rps),
+            ("warm_goodput_rps", warm.goodput_rps),
+            ("warm_store_hits", warm.rungs[Rung::Store.index()]),
+            ("warm_quarantines", warm.store.quarantines),
+            ("warm_recovered_records", warm.store_recovery.records_loaded),
             (
-                "scenario".into(),
-                Value::Str(self.corruption.name().to_string()),
+                "warm_quarantined_bytes",
+                warm.store_recovery.tail_bytes_quarantined
             ),
-            ("requests".into(), Value::Num(self.cold.total as f64)),
-            (
-                "cold_first_p99_ms".into(),
-                Value::Num(self.cold_first_p99_ms),
-            ),
-            (
-                "warm_first_p99_ms".into(),
-                Value::Num(self.warm_first_p99_ms),
-            ),
-            ("cold_p99_ms".into(), Value::Num(self.cold.p99_ms)),
-            ("warm_p99_ms".into(), Value::Num(self.warm.p99_ms)),
-            ("cold_goodput_rps".into(), Value::Num(self.cold.goodput_rps)),
-            ("warm_goodput_rps".into(), Value::Num(self.warm.goodput_rps)),
-            (
-                "warm_store_hits".into(),
-                Value::Num(self.warm.rungs[Rung::Store.index()] as f64),
-            ),
-            (
-                "warm_quarantines".into(),
-                Value::Num(self.warm.store.quarantines as f64),
-            ),
-            (
-                "warm_recovered_records".into(),
-                Value::Num(self.warm.store_recovery.records_loaded as f64),
-            ),
-            (
-                "warm_quarantined_bytes".into(),
-                Value::Num(self.warm.store_recovery.tail_bytes_quarantined as f64),
-            ),
-            (
-                "cold_puts_full".into(),
-                Value::Num(self.cold.store.puts_full as f64),
-            ),
-            (
-                "cold_puts_delta".into(),
-                Value::Num(self.cold.store.puts_delta as f64),
-            ),
-            (
-                "warm_completed".into(),
-                Value::Num(self.warm.completed as f64),
-            ),
-            (
-                "digest_match".into(),
-                Value::Bool(self.warm.history_digest == self.cold.history_digest),
-            ),
+            ("cold_puts_full", cold.store.puts_full),
+            ("cold_puts_delta", cold.store.puts_delta),
+            ("warm_completed", warm.completed),
+            ("digest_match", warm.history_digest == cold.history_digest),
         ])
     }
 }
@@ -253,22 +224,9 @@ fn run_cell(corruption: Corruption, models: &[ServedModel], trace: &[Request]) -
     out
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Warm p99 first-dispatch latency strictly below cold in every
-    /// cell with a usable prefix.
-    warm_beats_cold_everywhere: bool,
-    /// Fraction of corruption cells that quarantined the damage and
-    /// completed every request.
-    recovery_rate: f64,
-    /// Store-rung serves in wipeout cells (no stored plan is
-    /// trustworthy there; must be 0).
-    corrupt_plans_served: u64,
-    /// Wipeout restarts replay the cold run bit-for-bit.
-    wipeout_identical: bool,
-}
-
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// The acceptance criteria over the grid; `plain_digest` is the history
+/// digest of the same trace served with no store attached.
+fn headline(outs: &[CellOut], plain_digest: u64) -> Headline {
     let mut beats = true;
     let mut recovered = 0usize;
     let mut corrupted = 0usize;
@@ -295,12 +253,35 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             }
         }
     }
-    Verdict {
-        warm_beats_cold_everywhere: beats,
-        recovery_rate: recovered as f64 / corrupted.max(1) as f64,
-        corrupt_plans_served: corrupt_served,
-        wipeout_identical: wipe_identical,
-    }
+    Headline::new()
+        .check(
+            "warm_beats_cold_everywhere",
+            beats,
+            "restart p99 first-dispatch latency must strictly beat the cold process \
+             in every cell with a usable log prefix",
+        )
+        .exactly(
+            "recovery_rate",
+            recovered as f64 / corrupted.max(1) as f64,
+            1.0,
+            "every corruption cell must quarantine the damage and complete all requests",
+        )
+        .exactly(
+            "corrupt_plans_served",
+            corrupt_served as f64,
+            0.0,
+            "a fully-corrupted log must never serve a stored plan",
+        )
+        .check(
+            "wipeout_identical",
+            wipe_identical,
+            "a wiped-out log must degrade to the cold run bit-for-bit",
+        )
+        .check(
+            "disabled_identical",
+            outs.iter().all(|o| o.cold.history_digest == plain_digest),
+            "an empty attached store must be bit-identical to no store at all",
+        )
 }
 
 /// The `restart` experiment.
@@ -340,36 +321,6 @@ pub fn restart(cfg: &RunCfg) -> Table {
         .par_iter()
         .map(|&c| run_cell(c, &models, &trace))
         .collect();
-    let v = verdict(&outs);
-    let disabled_identical = outs
-        .iter()
-        .all(|o| o.cold.history_digest == plain.report.history_digest);
-
-    if cfg.validate {
-        assert!(
-            v.warm_beats_cold_everywhere,
-            "restart p99 first-dispatch latency must strictly beat the cold process \
-             in every cell with a usable log prefix"
-        );
-        assert!(
-            (v.recovery_rate - 1.0).abs() < f64::EPSILON,
-            "every corruption cell must quarantine the damage and complete all requests \
-             (recovery rate {})",
-            v.recovery_rate
-        );
-        assert_eq!(
-            v.corrupt_plans_served, 0,
-            "a fully-corrupted log must never serve a stored plan"
-        );
-        assert!(
-            v.wipeout_identical,
-            "a wiped-out log must degrade to the cold run bit-for-bit"
-        );
-        assert!(
-            disabled_identical,
-            "an empty attached store must be bit-identical to no store at all"
-        );
-    }
 
     let mut t = Table::new(
         "restart",
@@ -396,32 +347,18 @@ pub fn restart(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("restart".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "warm_beats_cold_everywhere".into(),
-                    Value::Bool(v.warm_beats_cold_everywhere),
-                ),
-                ("recovery_rate".into(), Value::Num(v.recovery_rate)),
-                (
-                    "corrupt_plans_served".into(),
-                    Value::Num(v.corrupt_plans_served as f64),
-                ),
-                ("wipeout_identical".into(), Value::Bool(v.wipeout_identical)),
-                ("disabled_identical".into(), Value::Bool(disabled_identical)),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("restart", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "restart",
+        cfg,
+        fields![
+            ("experiment", "restart"),
+            ("gpus", GPUS),
+            ("smoke", cfg.smoke),
+            ("points", points),
+        ],
+        headline(&outs, plain.report.history_digest),
+    );
     t
 }
 
@@ -449,9 +386,11 @@ mod tests {
         let models = restart_tenants(1);
         let trace = trace_for(1, 12);
         let o = run_cell(Corruption::Wipeout, &models, &trace);
-        let v = verdict(std::slice::from_ref(&o));
-        assert_eq!(v.corrupt_plans_served, 0);
-        assert!(v.wipeout_identical, "wipeout must replay the cold run");
-        assert!((v.recovery_rate - 1.0).abs() < f64::EPSILON);
+        let plain = o.cold.history_digest;
+        headline(&[o], plain).assert_holds(&[
+            "corrupt_plans_served",
+            "wipeout_identical",
+            "recovery_rate",
+        ]);
     }
 }

@@ -10,7 +10,7 @@
 //! (1000 operators, 160 layers, 4 GPUs).  IOS is excluded: its DP cost is
 //! dominated by group profiling, which Fig. 14 already covers.
 
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_core::lp::{HiosLpConfig, schedule_hios_lp};
 use hios_core::mr::{HiosMrConfig, schedule_hios_mr};
 use hios_core::reference;
@@ -77,16 +77,16 @@ impl Cell {
     }
 
     fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("ops".into(), Value::Num(self.ops as f64)),
-            ("layers".into(), Value::Num(self.layers as f64)),
-            ("gpus".into(), Value::Num(self.gpus as f64)),
-            ("algo".into(), Value::Str(self.algo.to_string())),
-            ("ref_median_ms".into(), Value::Num(self.ref_median)),
-            ("ref_p95_ms".into(), Value::Num(self.ref_p95)),
-            ("new_median_ms".into(), Value::Num(self.new_median)),
-            ("new_p95_ms".into(), Value::Num(self.new_p95)),
-            ("speedup_median".into(), Value::Num(self.speedup())),
+        Value::Object(fields![
+            ("ops", self.ops),
+            ("layers", self.layers),
+            ("gpus", self.gpus),
+            ("algo", self.algo),
+            ("ref_median_ms", self.ref_median),
+            ("ref_p95_ms", self.ref_p95),
+            ("new_median_ms", self.new_median),
+            ("new_p95_ms", self.new_p95),
+            ("speedup_median", self.speedup()),
         ])
     }
 }
@@ -192,23 +192,18 @@ pub fn sched_scaling(cfg: &RunCfg) -> Table {
         .find(|c| c.ops == 1000 && c.gpus == 4 && c.algo == "HIOS-LP")
         .map(Cell::speedup)
         .unwrap_or(f64::NAN);
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("sched-scaling".into())),
-        ("reps".into(), Value::Num(reps as f64)),
-        ("seed".into(), Value::Num(SEED as f64)),
-        (
-            "points".into(),
-            Value::Array(cells.iter().map(Cell::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![(
-                "lp_speedup_vs_reference_1000ops_160layers_4gpus".into(),
-                Value::Num(headline),
-            )]),
-        ),
-    ]);
-    crate::write_bench_json("schedulers", cfg.smoke, &json);
+    let points: Vec<Value> = cells.iter().map(Cell::to_json).collect();
+    crate::write_bench_json(
+        "schedulers",
+        cfg,
+        fields![
+            ("experiment", "sched-scaling"),
+            ("reps", reps),
+            ("seed", SEED),
+            ("points", points),
+        ],
+        Headline::new().num("lp_speedup_vs_reference_1000ops_160layers_4gpus", headline),
+    );
     t
 }
 

@@ -15,11 +15,11 @@
 //!   greedy-only's in **every** cell (the schedule cache makes the good
 //!   schedules as cheap as the greedy ones).
 //!
-//! `--validate` turns both headline criteria into hard assertions.
+//! `--validate` fails the run on either headline criterion.
 
-use super::{nominal, tenants};
+use super::{latency_fields, nominal, tenants};
 use crate::table::f3;
-use crate::{RunCfg, Table};
+use crate::{Headline, RunCfg, Table};
 use hios_serve::{
     Policy, Request, ServeConfig, ServeReport, ServedModel, WorkloadConfig, generate_trace, serve,
 };
@@ -58,35 +58,22 @@ struct CellOut {
 
 impl CellOut {
     fn to_json(&self) -> Value {
-        let r = &self.report;
-        Value::Object(vec![
-            ("load".into(), Value::Str(self.cfg.load.name.to_string())),
-            (
-                "arrival_rate_rps".into(),
-                Value::Num(self.cfg.load.rate_rps),
-            ),
-            ("requests".into(), Value::Num(r.total as f64)),
-            (
-                "deadline_factor".into(),
-                Value::Num(self.cfg.deadline_factor),
-            ),
-            ("fault".into(), Value::Str(self.cfg.fault.to_string())),
-            (
-                "policy".into(),
-                Value::Str(self.cfg.policy.name().to_string()),
-            ),
-            ("completed".into(), Value::Num(r.completed as f64)),
-            ("on_time".into(), Value::Num(r.on_time as f64)),
-            ("p50_ms".into(), Value::Num(r.p50_ms)),
-            ("p95_ms".into(), Value::Num(r.p95_ms)),
-            ("p99_ms".into(), Value::Num(r.p99_ms)),
-            ("miss_rate".into(), Value::Num(r.miss_rate)),
-            ("shed_rate".into(), Value::Num(r.shed_rate)),
-            ("goodput_rps".into(), Value::Num(r.goodput_rps)),
-            ("repairs".into(), Value::Num(r.repairs as f64)),
-            ("breaker_opens".into(), Value::Num(r.breaker_opens as f64)),
-            ("cache_hits".into(), Value::Num(r.cache.0 as f64)),
-        ])
+        let (c, r) = (&self.cfg, &self.report);
+        let mut fields = fields![
+            ("load", c.load.name),
+            ("arrival_rate_rps", c.load.rate_rps),
+            ("requests", r.total),
+            ("deadline_factor", c.deadline_factor),
+            ("fault", c.fault),
+            ("policy", c.policy.name()),
+        ];
+        fields.extend(latency_fields(r));
+        fields.extend(fields![
+            ("repairs", r.repairs),
+            ("breaker_opens", r.breaker_opens),
+            ("cache_hits", r.cache.0),
+        ]);
+        Value::Object(fields)
     }
 }
 
@@ -140,20 +127,9 @@ fn run_cell(c: CellCfg) -> CellOut {
     }
 }
 
-/// Headline verdicts over the full grid.
-struct Verdict {
-    /// Anytime beats FixedFullLp on p99 AND miss rate in ≥1
-    /// overload+fault cell.
-    anytime_beats_fixed_lp: bool,
-    /// Anytime goodput ≥ GreedyOnly goodput in every cell.
-    anytime_goodput_ok: bool,
-    /// Worst anytime-vs-greedy goodput ratio across cells.
-    worst_goodput_ratio: f64,
-}
-
 /// Extract the (anytime, fixed, greedy) triple of each (load, factor,
-/// fault) cell and fold the acceptance verdicts.
-fn verdict(outs: &[CellOut]) -> Verdict {
+/// fault) cell and fold the acceptance criteria.
+fn headline(outs: &[CellOut]) -> Headline {
     let mut beats = false;
     let mut goodput_ok = true;
     let mut worst_ratio = f64::INFINITY;
@@ -183,14 +159,23 @@ fn verdict(outs: &[CellOut]) -> Verdict {
             goodput_ok = false;
         }
     }
-    Verdict {
-        anytime_beats_fixed_lp: beats,
-        anytime_goodput_ok: goodput_ok,
-        worst_goodput_ratio: worst_ratio,
-    }
+    Headline::new()
+        .check(
+            "anytime_beats_fixed_lp",
+            beats,
+            "anytime must beat FixedFullLp on p99 and miss rate in an overload+fault cell",
+        )
+        .check(
+            "anytime_goodput_ok",
+            goodput_ok,
+            format!(
+                "anytime goodput must match greedy-only in every cell (worst ratio {worst_ratio})"
+            ),
+        )
+        .num("worst_goodput_ratio", worst_ratio)
 }
 
-/// All policies, in the order [`verdict`] expects per cell.
+/// All policies, in the order [`headline`] expects per cell.
 const POLICIES: [Policy; 3] = [Policy::Anytime, Policy::FixedFullLp, Policy::GreedyOnly];
 
 /// The `serving` experiment.
@@ -239,18 +224,6 @@ pub fn serving(cfg: &RunCfg) -> Table {
         }
     }
     let outs: Vec<CellOut> = cells.into_par_iter().map(run_cell).collect();
-    let v = verdict(&outs);
-    if cfg.validate {
-        assert!(
-            v.anytime_beats_fixed_lp,
-            "anytime must beat FixedFullLp on p99 and miss rate in an overload+fault cell"
-        );
-        assert!(
-            v.anytime_goodput_ok,
-            "anytime goodput must match greedy-only in every cell (worst ratio {})",
-            v.worst_goodput_ratio
-        );
-    }
 
     let mut t = Table::new(
         "serving",
@@ -286,33 +259,18 @@ pub fn serving(cfg: &RunCfg) -> Table {
         ]);
     }
 
-    let json = Value::Object(vec![
-        ("experiment".into(), Value::Str("serving".into())),
-        ("gpus".into(), Value::Num(GPUS as f64)),
-        ("smoke".into(), Value::Bool(cfg.smoke)),
-        (
-            "points".into(),
-            Value::Array(outs.iter().map(CellOut::to_json).collect()),
-        ),
-        (
-            "headline".into(),
-            Value::Object(vec![
-                (
-                    "anytime_beats_fixed_lp".into(),
-                    Value::Bool(v.anytime_beats_fixed_lp),
-                ),
-                (
-                    "anytime_goodput_ok".into(),
-                    Value::Bool(v.anytime_goodput_ok),
-                ),
-                (
-                    "worst_goodput_ratio".into(),
-                    Value::Num(v.worst_goodput_ratio),
-                ),
-            ]),
-        ),
-    ]);
-    crate::write_bench_json("serving", cfg.smoke, &json);
+    let points: Vec<Value> = outs.iter().map(CellOut::to_json).collect();
+    crate::write_bench_json(
+        "serving",
+        cfg,
+        fields![
+            ("experiment", "serving"),
+            ("gpus", GPUS),
+            ("smoke", cfg.smoke),
+            ("points", points),
+        ],
+        headline(&outs),
+    );
     t
 }
 
@@ -338,9 +296,7 @@ mod tests {
                 })
             })
             .collect();
-        let v = verdict(&outs);
-        assert!(v.anytime_beats_fixed_lp, "p99/miss verdict failed");
-        assert!(v.anytime_goodput_ok, "goodput verdict failed");
+        headline(&outs).assert_holds(&["anytime_beats_fixed_lp", "anytime_goodput_ok"]);
     }
 
     #[test]

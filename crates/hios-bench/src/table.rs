@@ -1,6 +1,5 @@
 //! Result tables: CSV and markdown emission.
 
-use std::io::Write;
 use std::path::Path;
 
 /// A named result table (one per figure).
@@ -62,11 +61,12 @@ impl Table {
         out
     }
 
-    /// Writes `<dir>/<name>.csv`.
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut f = std::fs::File::create(dir.join(format!("{}.csv", self.name)))?;
-        f.write_all(self.to_csv().as_bytes())
+    /// Writes the CSV rendering to `path`, creating its directory.
+    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, self.to_csv())
     }
 }
 
@@ -111,7 +111,7 @@ mod tests {
     fn write_csv_creates_file() {
         let dir = std::env::temp_dir().join("hios_bench_table_test");
         let _ = std::fs::remove_dir_all(&dir);
-        sample().write_csv(&dir).unwrap();
+        sample().write_csv(&dir.join("t.csv")).unwrap();
         let content = std::fs::read_to_string(dir.join("t.csv")).unwrap();
         assert_eq!(content, "a,b\n1,2\n");
     }

@@ -13,43 +13,32 @@
 //! produced it).
 
 use hios_cost::CostTable;
-use hios_graph::Graph;
+use hios_graph::{Graph, HashWriter};
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Structural fingerprint of a computation graph: FNV-1a over the
-/// operator count, every operator's name and output shape, and the edge
-/// list.  Two graphs with the same fingerprint are (with overwhelming
-/// probability) the same scheduling problem; the id-ordered sweep makes
-/// the fingerprint deterministic across runs and platforms.
+/// Structural fingerprint of a computation graph: [`HashWriter`] bytes
+/// of the operator count, every operator's name and output shape, and
+/// the edge list.  Two graphs with the same fingerprint are (with
+/// overwhelming probability) the same scheduling problem; the id-ordered
+/// sweep makes the fingerprint deterministic across runs and platforms.
 pub fn graph_fingerprint(g: &Graph) -> u64 {
-    // Serialize into one contiguous buffer first, then hash in a single
-    // dense pass: the byte stream (and so every persisted fingerprint)
-    // is unchanged, but the FNV loop runs over flat memory instead of
-    // interleaving with node-field pointer chasing.
-    let mut buf: Vec<u8> = Vec::with_capacity(g.num_ops() * 32);
-    buf.extend_from_slice(&(g.num_ops() as u64).to_le_bytes());
+    let mut h = HashWriter::new();
+    h.le(g.num_ops() as u64);
     for v in g.op_ids() {
         let node = g.node(v);
-        buf.extend_from_slice(node.name.as_bytes());
-        buf.push(0);
+        h.bytes(node.name.as_bytes());
+        h.bytes(&[0]);
         let s = &node.output_shape;
         for d in [s.n, s.c, s.h, s.w] {
-            buf.extend_from_slice(&d.to_le_bytes());
+            h.bytes(&d.to_le_bytes());
         }
     }
     for (u, v) in g.edges() {
-        buf.extend_from_slice(&(u.index() as u32).to_le_bytes());
-        buf.extend_from_slice(&(v.index() as u32).to_le_bytes());
+        h.bytes(&(u.index() as u32).to_le_bytes());
+        h.bytes(&(v.index() as u32).to_le_bytes());
     }
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for &b in &buf {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    h.finish()
 }
 
 /// Identity of one scheduling problem in a serving loop.
@@ -180,6 +169,12 @@ impl<V> ScheduleCache<V> {
         self.entries.get(key).map(|e| &e.value)
     }
 
+    /// Uncounted mutable lookup: like [`ScheduleCache::peek`], it skews
+    /// neither stats nor recency.
+    pub fn peek_mut(&mut self, key: &ScheduleCacheKey) -> Option<&mut V> {
+        self.entries.get_mut(key).map(|e| &mut e.value)
+    }
+
     /// Inserts `value` under `key` only if `better` says it improves on
     /// the incumbent (ties keep the incumbent, so re-running a rung can
     /// never churn the cache).  A fresh insert beyond capacity evicts
@@ -278,6 +273,13 @@ mod tests {
 
     fn table(g: &Graph) -> CostTable {
         hios_cost::random_cost_table(g, &hios_cost::RandomCostConfig::paper_default(0))
+    }
+
+    /// Schedule-cache and plan-store keys carry this value: a change to
+    /// the hash moves every persisted key.
+    #[test]
+    fn graph_fingerprint_is_pinned() {
+        assert_eq!(graph_fingerprint(&dag(1)), 0x20a9_f8eb_5926_cb2c);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Schedule types: the output of every scheduling algorithm.
 
-use hios_graph::{Graph, OpId};
+use hios_graph::{Graph, HashWriter, OpId};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -403,33 +403,25 @@ impl Schedule {
         serde_json::from_str(s)
     }
 
-    /// Content digest of the schedule: FNV-1a over the GPU count and
-    /// every stage's operator list, in order.  Two schedules digest
+    /// Content digest of the schedule: [`HashWriter`] bytes of the GPU
+    /// count and every stage's operator list, in order.  Two schedules digest
     /// equal iff they are structurally identical, so the digest is the
     /// identity a content-addressed plan store verifies plans against —
     /// a reconstructed plan whose digest mismatches its record must
     /// never be served.
     pub fn content_digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x1000_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.gpus.len() as u64);
+        let mut h = HashWriter::new();
+        h.le(self.gpus.len() as u64);
         for gpu in &self.gpus {
-            eat(gpu.stages.len() as u64);
+            h.le(gpu.stages.len() as u64);
             for stage in &gpu.stages {
-                eat(stage.ops.len() as u64);
+                h.le(stage.ops.len() as u64);
                 for &v in &stage.ops {
-                    eat(v.index() as u64);
+                    h.le(v.index() as u64);
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Serializes to the versioned interchange envelope:
@@ -787,6 +779,12 @@ mod tests {
                 Err(ScheduleCodecError::Malformed(_))
             ));
         }
+    }
+
+    /// Persisted plans are verified against this value.
+    #[test]
+    fn content_digest_is_pinned() {
+        assert_eq!(ok_schedule().content_digest(), 0x8e49_3dfa_25e0_d406);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! concurrency model behind `t(S)`.
 
 use crate::topology::{NO_LINK, Topology};
-use hios_graph::{Graph, OpId};
+use hios_graph::{Graph, HashWriter, OpId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -495,41 +495,35 @@ impl CostTable {
         }
     }
 
-    /// FNV-1a fingerprint of everything that affects pricing: the
-    /// topology mapping and the bit patterns of every cost row.  Two
-    /// tables with equal fingerprints price every schedule identically,
-    /// so schedule caches key on this (a cached plan for one platform
-    /// must not be replayed on another).
+    /// Fingerprint ([`HashWriter`], whole words) of everything that
+    /// affects pricing: the topology mapping and the bit patterns of
+    /// every cost row.  Two tables with equal fingerprints price every
+    /// schedule identically, so schedule caches key on this (a cached
+    /// plan for one platform must not be replayed on another).
     pub fn platform_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x1000_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.device.num_classes() as u64);
-        mix(self.transfer_ms.len() as u64);
+        let mut h = HashWriter::new();
+        h.word(self.device.num_classes() as u64);
+        h.word(self.transfer_ms.len() as u64);
         for &c in &self.topology.device_class {
-            mix(c as u64);
+            h.word(c as u64);
         }
         for &l in &self.topology.link_class {
-            mix(l as u64);
+            h.word(l as u64);
         }
         for row in self.device.exec_ms.iter().chain(self.device.util.iter()) {
             for &x in row {
-                mix(x.to_bits());
+                h.word(x.to_bits());
             }
         }
         for row in &self.transfer_ms {
             for &x in row {
-                mix(x.to_bits());
+                h.word(x.to_bits());
             }
         }
-        mix(self.launch_overhead_ms.to_bits());
-        mix(self.concurrency.contention_alpha.to_bits());
-        mix(self.concurrency.stream_overhead_ms.to_bits());
-        h
+        h.word(self.launch_overhead_ms.to_bits());
+        h.word(self.concurrency.contention_alpha.to_bits());
+        h.word(self.concurrency.stream_overhead_ms.to_bits());
+        h.finish()
     }
 
     /// Validates the table against a graph: one entry per operator in
@@ -654,6 +648,16 @@ mod tests {
             },
             0.005,
         )
+    }
+
+    /// Schedule-cache and plan-store keys carry this value: a change to
+    /// the hash moves every persisted key.
+    #[test]
+    fn platform_fingerprint_is_pinned() {
+        let flat = table(&[1.0, 2.0, 3.0], &[0.5, 0.6, 0.7]);
+        assert_eq!(flat.platform_fingerprint(), 0xb86d_7e25_ca74_55f2);
+        let mixed = hetero_table(&[1.0, 2.0], &[0.5, 0.5]);
+        assert_eq!(mixed.platform_fingerprint(), 0x9ffe_3603_9a21_fa1e);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use crate::table::{CostTable, DeviceCosts};
 use crate::topology::Topology;
-use hios_graph::OpId;
+use hios_graph::{HashWriter, OpId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -468,29 +468,24 @@ impl Calibrator {
         self.identity
     }
 
-    /// FNV-1a fingerprint of the calibration state that affects planning
-    /// prices: the epoch, every quarantine flag and every correction's bit
-    /// pattern.  Two equal fingerprints imply identical planning overlays.
+    /// Fingerprint ([`HashWriter`], whole words) of the calibration
+    /// state that affects planning prices: the epoch, every quarantine
+    /// flag and every correction's bit pattern.  Two equal fingerprints
+    /// imply identical planning overlays.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x1000_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.num_gpus as u64);
-        mix(self.num_ops as u64);
-        mix(self.epoch);
+        let mut h = HashWriter::new();
+        h.word(self.num_gpus as u64);
+        h.word(self.num_ops as u64);
+        h.word(self.epoch);
         for gpu in 0..self.num_gpus {
-            mix(self.device_degraded(gpu) as u64);
+            h.word(self.device_degraded(gpu) as u64);
             for i in 0..self.num_ops {
                 let op = OpId(i as u32);
-                mix(self.is_quarantined(gpu, op) as u64);
-                mix(self.correction(gpu, op).to_bits());
+                h.word(self.is_quarantined(gpu, op) as u64);
+                h.word(self.correction(gpu, op).to_bits());
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -855,6 +850,14 @@ mod tests {
                 b * worst
             );
         }
+    }
+
+    #[test]
+    fn calibrator_fingerprint_is_pinned() {
+        let mut cal = Calibrator::new(2, 3, CalibrationConfig::default());
+        assert_eq!(cal.fingerprint(), 0x8930_53b8_bebd_1cc6);
+        let _ = cal.observe(1, OpId(2), 1.5, 1.0).unwrap();
+        assert_eq!(cal.fingerprint(), 0x3e30_f3eb_e07a_fef5);
     }
 
     #[test]

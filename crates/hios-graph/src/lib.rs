@@ -10,7 +10,8 @@
 //!   priority indicators of HIOS-LP/HIOS-MR ([`topo`], [`paths`]),
 //! * the random layered-DAG generator of the paper's simulation study
 //!   (§V-A) ([`generate`]),
-//! * DOT and JSON export ([`dot`], [`json`]).
+//! * DOT and JSON export ([`dot`], [`json`]),
+//! * the hash writer behind every fingerprint and digest ([`hash`]).
 //!
 //! The scheduling algorithms themselves live in `hios-core`; execution-time
 //! cost models live in `hios-cost`.
@@ -21,6 +22,7 @@ pub mod analysis;
 pub mod dot;
 pub mod generate;
 pub mod graph;
+pub mod hash;
 pub mod id;
 pub mod json;
 pub mod op;
@@ -30,6 +32,7 @@ pub mod topo;
 
 pub use generate::{LayeredDagConfig, generate_layered_dag};
 pub use graph::{Graph, GraphBuilder, GraphError, Node};
+pub use hash::HashWriter;
 pub use id::OpId;
 pub use op::{Activation, OpKind, PoolKind};
 pub use shape::TensorShape;

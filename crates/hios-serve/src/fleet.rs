@@ -37,11 +37,12 @@
 //!   brownout thresholds.
 
 use crate::health::{HealthConfig, HealthSample, HealthView};
-use crate::report::{ClassFold, ClassStats, Fnv, per_second, rate, shed_code};
+use crate::report::{ClassFold, ClassStats, per_second, rate, shed_code};
 use crate::request::{Disposition, PriorityClass, Request, RequestRecord, ServeError, ShedReason};
 use crate::router::{Router, RouterConfig, RouterPolicy};
 use crate::server::{self, ServeConfig, ServeOutcome, ServedModel, Server};
 use hios_core::SchedulerError;
+use hios_graph::HashWriter;
 use hios_sim::{
     ClusterFaultEvent, ClusterFaultKind, DriftPlan, EventQueue, FaultEvent, FaultKind, FaultPlan,
     validate_cluster_events,
@@ -293,7 +294,8 @@ pub struct FleetReport {
     pub partitions: usize,
     /// Per-priority-class statistics, indexed by `PriorityClass::index`.
     pub class_stats: [ClassStats; 3],
-    /// FNV-1a digest of the full outcome stream (replay check).
+    /// [`fleet_history_digest`] of the full outcome stream (replay
+    /// check).
     pub history_digest: u64,
 }
 
@@ -309,12 +311,12 @@ pub struct FleetOutcome {
     pub clusters: Vec<ServeOutcome>,
 }
 
-/// FNV-1a digest of a fleet outcome stream, written like
+/// Digest of a fleet outcome stream, written like
 /// [`crate::report::history_digest`]; `Rerouted` chains are folded
 /// recursively, so two runs agree iff every request took the same path
 /// to the same fate.
 pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
-    fn fold(h: &mut Fnv, d: &FleetDisposition) {
+    fn fold(h: &mut HashWriter, d: &FleetDisposition) {
         match d {
             FleetDisposition::Completed {
                 cluster,
@@ -325,35 +327,35 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 repairs,
                 hedged,
             } => {
-                h.eat(1);
-                h.eat(*cluster as u64);
-                h.eat(finish_ms.to_bits());
-                h.eat(latency_ms.to_bits());
-                h.eat(u64::from(*attempts));
-                h.eat(u64::from(*met_deadline));
-                h.eat(u64::from(*repairs));
-                h.eat(u64::from(*hedged));
+                h.le(1);
+                h.le(*cluster as u64);
+                h.le(finish_ms.to_bits());
+                h.le(latency_ms.to_bits());
+                h.le(u64::from(*attempts));
+                h.le(u64::from(*met_deadline));
+                h.le(u64::from(*repairs));
+                h.le(u64::from(*hedged));
             }
             FleetDisposition::Shed {
                 cluster,
                 at_ms,
                 reason,
             } => {
-                h.eat(2);
-                h.eat(cluster.map_or(0, |c| c as u64 + 1));
-                h.eat(at_ms.to_bits());
+                h.le(2);
+                h.le(cluster.map_or(0, |c| c as u64 + 1));
+                h.le(at_ms.to_bits());
                 match reason {
-                    FleetShedReason::Cluster(r) => h.eat(shed_code(r)),
+                    FleetShedReason::Cluster(r) => h.le(shed_code(r)),
                     FleetShedReason::DeadCluster { cluster } => {
-                        h.eat(20);
-                        h.eat(*cluster as u64);
+                        h.le(20);
+                        h.le(*cluster as u64);
                     }
                     FleetShedReason::Partitioned { cluster } => {
-                        h.eat(21);
-                        h.eat(*cluster as u64);
+                        h.le(21);
+                        h.le(*cluster as u64);
                     }
-                    FleetShedReason::Backpressure => h.eat(22),
-                    FleetShedReason::NoRoutableCluster => h.eat(23),
+                    FleetShedReason::Backpressure => h.le(22),
+                    FleetShedReason::NoRoutableCluster => h.le(23),
                 }
             }
             FleetDisposition::Rerouted {
@@ -362,10 +364,10 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 outcome,
             } => {
-                h.eat(3);
-                h.eat(*from as u64);
-                h.eat(*to as u64);
-                h.eat(at_ms.to_bits());
+                h.le(3);
+                h.le(*from as u64);
+                h.le(*to as u64);
+                h.le(at_ms.to_bits());
                 fold(h, outcome);
             }
             FleetDisposition::FailoverShed {
@@ -373,27 +375,27 @@ pub fn fleet_history_digest(records: &[FleetRecord]) -> u64 {
                 at_ms,
                 reason,
             } => {
-                h.eat(4);
-                h.eat(*from as u64);
-                h.eat(at_ms.to_bits());
+                h.le(4);
+                h.le(*from as u64);
+                h.le(at_ms.to_bits());
                 match reason {
                     FailoverReason::DeadlineInfeasible {
                         bound_finish_ms,
                         deadline_ms,
                     } => {
-                        h.eat(30);
-                        h.eat(bound_finish_ms.to_bits());
-                        h.eat(deadline_ms.to_bits());
+                        h.le(30);
+                        h.le(bound_finish_ms.to_bits());
+                        h.le(deadline_ms.to_bits());
                     }
-                    FailoverReason::NoRoutableCluster => h.eat(31),
-                    FailoverReason::Backpressure => h.eat(32),
+                    FailoverReason::NoRoutableCluster => h.le(31),
+                    FailoverReason::Backpressure => h.le(32),
                 }
             }
         }
     }
-    let mut h = Fnv::new();
+    let mut h = HashWriter::new();
     for r in records {
-        h.eat(r.request.id);
+        h.le(r.request.id);
         fold(&mut h, &r.disposition);
     }
     h.finish()

@@ -195,6 +195,23 @@ pub struct CachedPlan {
     pub makespan_ms: f64,
     /// The rung that computed it.
     pub rung: Rung,
+    /// A full-LP schedule for this key that lost to the plan above in
+    /// an idle-time upgrade.  The LP output is a pure function of the
+    /// key (graph, slot cost table, GPU count; the window is fixed per
+    /// ladder), so later upgrades re-price it instead of re-running LP.
+    /// It lives and dies with the cache entry.
+    lost_full_lp: Option<Schedule>,
+}
+
+impl CachedPlan {
+    fn new(schedule: Schedule, makespan_ms: f64, rung: Rung) -> Self {
+        CachedPlan {
+            schedule,
+            makespan_ms,
+            rung,
+            lost_full_lp: None,
+        }
+    }
 }
 
 /// What one ladder consultation produced.
@@ -306,82 +323,43 @@ impl AnytimeLadder {
         }
         let n = g.num_ops();
         let cost = &*slot_cost(cost, &gpu_map);
-        match policy {
-            Policy::GreedyOnly => {
-                let (schedule, nominal) = self.run_greedy(g, cost, m)?;
-                self.rung_counts[Rung::Greedy.index()] += 1;
-                Ok(LadderDecision {
-                    schedule,
-                    gpu_map,
-                    nominal_ms: nominal,
-                    rung: Rung::Greedy,
-                    sched_cost_ms: greedy_cost_ms(n),
-                })
-            }
-            Policy::FixedFullLp => {
-                let out = schedule_hios_lp(
-                    g,
-                    cost,
-                    HiosLpConfig {
-                        num_gpus: m,
-                        window: self.cfg.window,
-                        intra: true,
-                    },
-                );
-                self.rung_counts[Rung::FullLp.index()] += 1;
-                Ok(LadderDecision {
-                    schedule: out.schedule,
-                    gpu_map,
-                    nominal_ms: out.latency,
-                    rung: Rung::FullLp,
-                    sched_cost_ms: modeled_sched_cost_ms(Algorithm::HiosLp, n, m, self.cfg.window),
-                })
-            }
+        // The fixed baselines always compute their rung; the anytime
+        // policy answers from the cache or the store when it can and
+        // caches what it computes.
+        let (rung, (schedule, nominal_ms, sched_cost_ms)) = match policy {
+            Policy::GreedyOnly => (Rung::Greedy, self.run_rung(Rung::Greedy, g, cost, m)?),
+            Policy::FixedFullLp => (Rung::FullLp, self.run_rung(Rung::FullLp, g, cost, m)?),
             Policy::Anytime => {
                 let key = ScheduleCacheKey::for_platform(g, alive, cost);
                 if let Some(plan) = self.cache.get(&key) {
-                    let decision = LadderDecision {
-                        schedule: plan.schedule.clone(),
-                        gpu_map,
-                        nominal_ms: plan.makespan_ms,
-                        rung: Rung::Cached,
-                        sched_cost_ms: CACHE_HIT_COST_MS,
-                    };
-                    self.rung_counts[Rung::Cached.index()] += 1;
-                    return Ok(decision);
+                    let hit = (plan.schedule.clone(), plan.makespan_ms, CACHE_HIT_COST_MS);
+                    (Rung::Cached, hit)
+                } else if let Some(plan) = self.store_lookup(g, &key, m, epoch) {
+                    (
+                        Rung::Store,
+                        (plan.schedule, plan.makespan_ms, STORE_HIT_COST_MS),
+                    )
+                } else {
+                    let rung = self.pick_rung(n, m, queue_depth, slack_ms, cap);
+                    let (schedule, nominal_ms, cost_ms) = self.run_rung(rung, g, cost, m)?;
+                    self.cache.insert_if_better(
+                        key,
+                        CachedPlan::new(schedule.clone(), nominal_ms, rung),
+                        |new, old| new.makespan_ms < old.makespan_ms,
+                    );
+                    self.store_put(&key, epoch, &schedule, nominal_ms);
+                    (rung, (schedule, nominal_ms, cost_ms))
                 }
-                if let Some(plan) = self.store_lookup(g, &key, m, epoch) {
-                    self.rung_counts[Rung::Store.index()] += 1;
-                    return Ok(LadderDecision {
-                        schedule: plan.schedule,
-                        gpu_map,
-                        nominal_ms: plan.makespan_ms,
-                        rung: Rung::Store,
-                        sched_cost_ms: STORE_HIT_COST_MS,
-                    });
-                }
-                let rung = self.pick_rung(n, m, queue_depth, slack_ms, cap);
-                let (schedule, nominal, cost_ms) = self.run_rung(rung, g, cost, m)?;
-                self.rung_counts[rung.index()] += 1;
-                self.cache.insert_if_better(
-                    key,
-                    CachedPlan {
-                        schedule: schedule.clone(),
-                        makespan_ms: nominal,
-                        rung,
-                    },
-                    |new, old| new.makespan_ms < old.makespan_ms,
-                );
-                self.store_put(&key, epoch, &schedule, nominal);
-                Ok(LadderDecision {
-                    schedule,
-                    gpu_map,
-                    nominal_ms: nominal,
-                    rung,
-                    sched_cost_ms: cost_ms,
-                })
             }
-        }
+        };
+        self.rung_counts[rung.index()] += 1;
+        Ok(LadderDecision {
+            schedule,
+            gpu_map,
+            nominal_ms,
+            rung,
+            sched_cost_ms,
+        })
     }
 
     /// Durable-tier lookup on a memory-cache miss.  A hit is adopted
@@ -401,11 +379,7 @@ impl AnytimeLadder {
         if hit.schedule.gpus.len() != m || hit.schedule.validate_full(g, None).is_err() {
             return None; // fingerprint collision or foreign plan
         }
-        let plan = CachedPlan {
-            schedule: hit.schedule,
-            makespan_ms: hit.makespan_ms,
-            rung: Rung::Store,
-        };
+        let plan = CachedPlan::new(hit.schedule, hit.makespan_ms, Rung::Store);
         self.cache.insert_if_better(*key, plan.clone(), |new, old| {
             new.makespan_ms < old.makespan_ms
         });
@@ -441,7 +415,9 @@ impl AnytimeLadder {
     ///
     /// Returns whether the cache improved.  An improvement is also
     /// persisted to the attached store under `epoch`, so idle-time
-    /// quality survives a restart.
+    /// quality survives a restart.  A full-LP plan that loses is kept
+    /// with the cache entry and re-priced by the next upgrade of the
+    /// same key, so LP runs at most once per entry.
     pub fn upgrade(
         &mut self,
         g: &Graph,
@@ -457,28 +433,27 @@ impl AnytimeLadder {
         }
         let cost = &*slot_cost(cost, &gpu_map);
         let key = ScheduleCacheKey::for_platform(g, alive, cost);
-        if matches!(self.cache.peek(&key), Some(plan) if plan.rung == Rung::FullLp) {
-            return false; // already at top quality
-        }
-        let out = schedule_hios_lp(
-            g,
-            cost,
-            HiosLpConfig {
-                num_gpus: m,
-                window: self.cfg.window,
-                intra: true,
-            },
-        );
-        self.upgrades += 1;
-        let new_ms = eval(&out.schedule);
-        let schedule = out.schedule.clone();
+        // Uncounted lookups: an upgrade touches neither the cache's
+        // hit/miss counts nor its LRU recency.
+        let lost = match self.cache.peek_mut(&key) {
+            Some(plan) if plan.rung == Rung::FullLp => return false, // already at top quality
+            Some(plan) => plan.lost_full_lp.take(),
+            None => None,
+        };
+        let schedule = match lost {
+            Some(schedule) => schedule,
+            None => {
+                let Ok((schedule, ..)) = self.run_rung(Rung::FullLp, g, cost, m) else {
+                    return false;
+                };
+                self.upgrades += 1;
+                schedule
+            }
+        };
+        let new_ms = eval(&schedule);
         let improved = self.cache.insert_if_better(
             key,
-            CachedPlan {
-                schedule: out.schedule,
-                makespan_ms: new_ms,
-                rung: Rung::FullLp,
-            },
+            CachedPlan::new(schedule.clone(), new_ms, Rung::FullLp),
             // `<=` so an equal-cost full-LP plan still records the rung
             // upgrade and stops future re-upgrades.  The incumbent is
             // re-evaluated: its stored makespan may predate a fault.
@@ -486,6 +461,8 @@ impl AnytimeLadder {
         );
         if improved {
             self.store_put(&key, epoch, &schedule, new_ms);
+        } else if let Some(plan) = self.cache.peek_mut(&key) {
+            plan.lost_full_lp = Some(schedule);
         }
         improved
     }
@@ -521,11 +498,7 @@ impl AnytimeLadder {
         let new_ms = eval(&schedule);
         self.cache.insert_if_better(
             key,
-            CachedPlan {
-                schedule,
-                makespan_ms: new_ms,
-                rung: Rung::Greedy,
-            },
+            CachedPlan::new(schedule, new_ms, Rung::Greedy),
             |new, _| new.makespan_ms < old_ms,
         )
     }
@@ -680,7 +653,8 @@ impl AnytimeLadder {
         self.rung_counts
     }
 
-    /// Idle-time upgrade passes run.
+    /// Full HIOS-LP runs made by idle-time upgrades (re-pricing a
+    /// remembered losing plan is not a run).
     pub fn upgrades(&self) -> u64 {
         self.upgrades
     }
@@ -807,6 +781,58 @@ mod tests {
         assert_eq!(after.rung, Rung::Cached);
         assert!(after.nominal_ms <= before.nominal_ms);
         assert_eq!(ladder.upgrades(), 1);
+    }
+
+    #[test]
+    fn a_losing_full_lp_plan_is_repriced_not_recomputed() {
+        let (g, cost) = fixture();
+        let mut ladder = AnytimeLadder::new(LadderConfig::default());
+        let alive = [true, true];
+        // Queue pressure caches a greedy plan.
+        let d = ladder
+            .decide(&g, &cost, &alive, 100, f64::INFINITY, 0, Policy::Anytime)
+            .unwrap();
+        assert_eq!(d.rung, Rung::Greedy);
+        let greedy = d.schedule;
+        let key = ScheduleCacheKey::for_platform(&g, &alive, &cost);
+        let stats = ladder.cache_stats();
+        // The platform as it is now favours the incumbent: LP loses twice.
+        let favours_greedy = |s: &Schedule| if *s == greedy { 1.0 } else { 2.0 };
+        assert!(!ladder.upgrade(&g, &cost, &alive, 0, favours_greedy));
+        assert!(!ladder.upgrade(&g, &cost, &alive, 0, favours_greedy));
+        assert_eq!(
+            ladder.upgrades(),
+            1,
+            "the second upgrade re-prices the first LP plan"
+        );
+        let plan = ladder.cache.peek(&key).unwrap();
+        assert_eq!(plan.rung, Rung::Greedy);
+        assert_eq!(plan.schedule, greedy);
+        assert_eq!(plan.makespan_ms, d.nominal_ms);
+        assert_eq!(
+            ladder.cache_stats(),
+            stats,
+            "upgrades are uncounted lookups"
+        );
+        // Once the platform favours it, the remembered plan wins without
+        // another LP run, and it is the plan LP would have produced.
+        let lp = schedule_hios_lp(
+            &g,
+            &cost,
+            HiosLpConfig {
+                num_gpus: 2,
+                window: LadderConfig::default().window,
+                intra: true,
+            },
+        )
+        .schedule;
+        assert!(ladder.upgrade(&g, &cost, &alive, 0, |s: &Schedule| {
+            if *s == greedy { 2.0 } else { 1.0 }
+        }));
+        assert_eq!(ladder.upgrades(), 1);
+        let plan = ladder.cache.peek(&key).unwrap();
+        assert_eq!(plan.rung, Rung::FullLp);
+        assert_eq!(plan.schedule, lp);
     }
 
     #[test]

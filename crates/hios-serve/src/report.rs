@@ -7,6 +7,7 @@
 
 use crate::brownout::BrownoutTelemetry;
 use crate::request::{Disposition, PriorityClass, RequestRecord, ShedReason};
+use hios_graph::HashWriter;
 use hios_store::{RecoveryReport, StoreStats};
 
 /// Per-priority-class outcome statistics.
@@ -113,7 +114,7 @@ pub struct ServeReport {
     /// Brownout-controller telemetry (empty timeline when no controller
     /// is attached).
     pub brownout: BrownoutTelemetry,
-    /// FNV-1a digest of the full outcome stream; equal digests ⇒
+    /// [`history_digest`] of the full outcome stream; equal digests ⇒
     /// bit-identical serving histories.
     pub history_digest: u64,
 }
@@ -128,28 +129,6 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// FNV-1a writer behind [`history_digest`] and
-/// [`crate::fleet::fleet_history_digest`].
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds the little-endian bytes of `x`.
-    pub(crate) fn eat(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Digest code of a cluster-level shed reason.
 pub(crate) fn shed_code(reason: &ShedReason) -> u64 {
     match reason {
@@ -161,11 +140,12 @@ pub(crate) fn shed_code(reason: &ShedReason) -> u64 {
     }
 }
 
-/// FNV-1a digest of the per-request outcome stream.
+/// Digest ([`HashWriter`], little-endian bytes) of the per-request
+/// outcome stream.
 pub fn history_digest(records: &[RequestRecord]) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = HashWriter::new();
     for r in records {
-        h.eat(r.request.id);
+        h.le(r.request.id);
         match &r.disposition {
             Disposition::Completed {
                 finish_ms,
@@ -174,17 +154,17 @@ pub fn history_digest(records: &[RequestRecord]) -> u64 {
                 met_deadline,
                 repairs,
             } => {
-                h.eat(1);
-                h.eat(finish_ms.to_bits());
-                h.eat(latency_ms.to_bits());
-                h.eat(u64::from(*attempts));
-                h.eat(u64::from(*met_deadline));
-                h.eat(u64::from(*repairs));
+                h.le(1);
+                h.le(finish_ms.to_bits());
+                h.le(latency_ms.to_bits());
+                h.le(u64::from(*attempts));
+                h.le(u64::from(*met_deadline));
+                h.le(u64::from(*repairs));
             }
             Disposition::Shed { at_ms, reason } => {
-                h.eat(2);
-                h.eat(at_ms.to_bits());
-                h.eat(shed_code(reason));
+                h.le(2);
+                h.le(at_ms.to_bits());
+                h.le(shed_code(reason));
             }
         }
     }

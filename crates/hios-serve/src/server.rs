@@ -1020,9 +1020,6 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// After the backend drains: let the anytime ladder spend the idle
-    /// CPU time upgrading the cached plan of the last-served model,
-    /// then dispatch whatever queued meanwhile.
     /// Re-rank every model's cached plan for the current alive set
     /// against a greedy candidate, evaluated under the current fault
     /// scaling.  Called whenever the platform changes (fault detected,
@@ -1042,10 +1039,46 @@ impl<'a> Server<'a> {
         if self.cfg.policy != Policy::Anytime {
             return;
         }
+        self.rank_on_current_platform(mi, |ladder, g, planning, alive, eval| {
+            ladder.rerank(g, planning, alive, eval);
+        });
+    }
+
+    /// After the backend drains: let the anytime ladder spend the idle
+    /// CPU time upgrading the cached plan of the last-served model,
+    /// then dispatch whatever queued meanwhile.
+    fn idle_work(&mut self) {
+        if self.cfg.policy == Policy::Anytime && self.queue.is_empty() {
+            if let Some(last) = self.records.last() {
+                let mi = last.request.model;
+                let epoch = self.epochs[mi];
+                let ranked =
+                    self.rank_on_current_platform(mi, |ladder, g, planning, alive, eval| {
+                        ladder.upgrade(g, planning, alive, epoch, eval);
+                    });
+                if !ranked {
+                    return; // no admitted GPU: nothing to dispatch on either
+                }
+            }
+        }
+        self.try_dispatch();
+    }
+
+    /// Hands `f` the ladder plus what ranking model `mi`'s cached plans
+    /// needs: its graph, its planning table, the admitted GPU set, and
+    /// an `eval` pricing a slot schedule by simulating it on the
+    /// platform as it is *now* (the nominally-best plan may lean on a
+    /// degraded link).  Returns `false`, without calling `f`, when no
+    /// GPU is admitted.
+    fn rank_on_current_platform(
+        &mut self,
+        mi: usize,
+        f: impl FnOnce(&mut AnytimeLadder, &Graph, &CostTable, &[bool], &dyn Fn(&Schedule) -> f64),
+    ) -> bool {
         let alive = self.breakers.admitted();
         let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
         if gpu_map.is_empty() {
-            return;
+            return false;
         }
         let scale = self.scaling.for_slots(&gpu_map);
         let sim_cfg = &self.cfg.sim;
@@ -1057,35 +1090,8 @@ impl<'a> Server<'a> {
                 .map(|r| r.makespan)
                 .unwrap_or(f64::INFINITY)
         };
-        self.ladder.rerank(&model.graph, planning, &alive, eval);
-    }
-
-    fn idle_work(&mut self) {
-        if self.cfg.policy == Policy::Anytime && self.queue.is_empty() {
-            if let Some(last) = self.records.last() {
-                let mi = last.request.model;
-                let model = &self.models[mi];
-                let alive = self.breakers.admitted();
-                let gpu_map: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
-                if gpu_map.is_empty() {
-                    return; // nothing to dispatch on either
-                }
-                let scale = self.scaling.for_slots(&gpu_map);
-                let sim_cfg = &self.cfg.sim;
-                let planning = planning_table(&self.calib, model, mi);
-                let slots = slot_cost(planning, &gpu_map);
-                // Rank candidates on the platform as it is *now*: the
-                // nominally-best plan may lean on a degraded link.
-                let eval = |schedule: &Schedule| {
-                    simulate_scaled(&model.graph, &slots, schedule, sim_cfg, &scale)
-                        .map(|r| r.makespan)
-                        .unwrap_or(f64::INFINITY)
-                };
-                self.ladder
-                    .upgrade(&model.graph, planning, &alive, self.epochs[mi], eval);
-            }
-        }
-        self.try_dispatch();
+        f(&mut self.ladder, &model.graph, planning, &alive, &eval);
+        true
     }
 
     /// Whether a fault that disrupts the current in-flight attempt has
@@ -1143,34 +1149,18 @@ impl<'a> Server<'a> {
     fn on_fault(&mut self, s: usize) {
         let sig = self.signals[s];
         let now = self.now();
-        let m = self.cfg.num_gpus;
-        // 1. Persist the fault in the platform model.
+        // 1. Persist the fault in the platform model (a failed link
+        // reroutes at a penalty factor, as in `hios_sim::recover`).
+        self.scaling.apply_fault(sig.kind, self.cfg.reroute_factor);
         match sig.kind {
-            FaultKind::GpuFailStop { gpu } => {
-                self.scaling.gpu[gpu] = f64::INFINITY;
+            FaultKind::GpuFailStop { gpu } | FaultKind::GpuSlowdown { gpu, .. } => {
                 self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
             }
-            FaultKind::GpuSlowdown { gpu, factor } => {
-                self.scaling.gpu[gpu] *= factor;
-                self.healthy_at[gpu] = now + self.cfg.gpu_repair_ms;
-            }
-            FaultKind::LinkFail { from, to } => {
-                // Reroute around the dead link at a penalty factor,
-                // mirroring `hios_sim::recover`.
-                self.scaling.link[from * m + to] = self.cfg.reroute_factor;
-            }
-            FaultKind::LinkDegrade { from, to, factor } => {
-                self.scaling.link[from * m + to] *= factor;
-            }
-            FaultKind::GpuHeal { gpu } => {
-                // A scripted heal (the "up" edge of a flapping GPU):
-                // the hardware runs at full speed again, and the heal
-                // horizon snaps to now so the breaker's next probe
-                // succeeds instead of waiting out `gpu_repair_ms`.
-                self.scaling.gpu[gpu] = 1.0;
-                self.healthy_at[gpu] = now;
-            }
-            FaultKind::OpHang { .. } => {}
+            // A scripted heal (the "up" edge of a flapping GPU): the heal
+            // horizon snaps to now so the breaker's next probe succeeds
+            // instead of waiting out `gpu_repair_ms`.
+            FaultKind::GpuHeal { gpu } => self.healthy_at[gpu] = now,
+            _ => {}
         }
         // 2. Trip the GPU's breaker.
         // (An already-open breaker keeps its pending probe; the pushed-out

@@ -1,5 +1,6 @@
 //! The discrete-event engine.
 
+use crate::fault::FaultKind;
 use hios_core::Schedule;
 use hios_cost::CostTable;
 use hios_graph::{Graph, OpId};
@@ -102,6 +103,23 @@ impl Scaling {
     /// Factor of the directed link `from -> to`.
     pub fn link_factor(&self, from: usize, to: usize) -> f64 {
         self.link[from * self.gpu.len() + to]
+    }
+
+    /// Persists a fault's effect on the platform: a fail-stop makes the
+    /// GPU infinitely slow, a slowdown or link degradation multiplies
+    /// its factor, a failed link reroutes at `reroute_factor`, and a
+    /// heal restores the GPU to nominal speed.  Operator hangs leave the
+    /// platform as it is.
+    pub fn apply_fault(&mut self, kind: FaultKind, reroute_factor: f64) {
+        let m = self.gpu.len();
+        match kind {
+            FaultKind::GpuFailStop { gpu } => self.gpu[gpu] = f64::INFINITY,
+            FaultKind::GpuSlowdown { gpu, factor } => self.gpu[gpu] *= factor,
+            FaultKind::LinkFail { from, to } => self.link[from * m + to] = reroute_factor,
+            FaultKind::LinkDegrade { from, to, factor } => self.link[from * m + to] *= factor,
+            FaultKind::GpuHeal { gpu } => self.gpu[gpu] = 1.0,
+            FaultKind::OpHang { .. } => {}
+        }
     }
 
     /// The factors seen by a schedule whose slot `i` runs on physical

@@ -274,7 +274,7 @@ pub fn run_with_repair(
             }
             if let FaultKind::GpuHeal { gpu } = e.kind {
                 alive[gpu] = true;
-                scale.gpu[gpu] = 1.0;
+                scale.apply_fault(e.kind, cfg.reroute_factor);
             }
             events_out.push(SimEvent::absorbed(&e));
             ev_idx += 1;
@@ -350,14 +350,12 @@ pub fn run_with_repair(
             }
         }
 
-        // Persist the fault's effect on the platform.
-        match e.kind {
-            FaultKind::GpuFailStop { gpu } => alive[gpu] = false,
-            FaultKind::GpuSlowdown { gpu, factor } => scale.gpu[gpu] *= factor,
-            FaultKind::LinkFail { from, to } => scale.link[from * m + to] = cfg.reroute_factor,
-            FaultKind::LinkDegrade { from, to, factor } => scale.link[from * m + to] *= factor,
-            FaultKind::OpHang { .. } | FaultKind::GpuHeal { .. } => {}
+        // Persist the fault's effect on the platform.  A dead GPU's
+        // factor is never read again: the repair drops it from `gpu_map`.
+        if let FaultKind::GpuFailStop { gpu } = e.kind {
+            alive[gpu] = false;
         }
+        scale.apply_fault(e.kind, cfg.reroute_factor);
 
         let detected_abs = t_now + t_d;
         t_now = detected_abs + cfg.repair_overhead_ms;
@@ -589,13 +587,11 @@ mod tests {
         let r = run_with_repair(&g, &cost, &s, &plan, &RecoveryConfig::analytical()).unwrap();
         assert!(r.completed);
         assert_eq!(r.repairs, 2);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = hios_graph::HashWriter::new();
         for f in &r.op_finish {
-            for b in f.to_bits().to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+            h.le(f.to_bits());
         }
+        let h = h.finish();
         assert_eq!(h, 0x3803_5a19_028d_9e15, "digest {h:#018x}");
     }
 

@@ -31,7 +31,9 @@ pub(crate) const FRAME_HEADER_LEN: usize = 4 + 4 + 8;
 /// treated as corruption rather than attempted as an allocation.
 pub(crate) const MAX_PAYLOAD_LEN: usize = 64 << 20;
 
-/// FNV-1a over a byte slice; the frame checksum.
+/// Standard FNV-1a (prime `0x100_0000_01b3`) over a byte slice; the
+/// frame checksum.  Part of the on-disk format, so it is not the
+/// workspace's `hios_graph::HashWriter`, whose prime differs.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
